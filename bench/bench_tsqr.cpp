@@ -14,7 +14,7 @@
 #include "data/genotype_generator.h"
 #include "linalg/qr.h"
 #include "linalg/tsqr.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 
@@ -41,12 +41,12 @@ int RealMain() {
     }
     const Matrix pooled_r = QrRFactor(VStack(blocks)).value();
 
-    Network stack_net(p);
+    InProcessMesh stack_net(p);
     const DistributedQrResult stacked =
         CombineRFactorsOverNetwork(&stack_net, local_r,
                                    RCombineMode::kBroadcastStack)
             .value();
-    Network tree_net(p);
+    InProcessMesh tree_net(p);
     const DistributedQrResult tree =
         CombineRFactorsOverNetwork(&tree_net, local_r,
                                    RCombineMode::kBinaryTree)

@@ -41,7 +41,6 @@ void PrintUsage() {
       "                  [--r-combine stack|tree] [--center]\n"
       "                  [--variants M] [--samples N-per-party]\n"
       "                  [--frac-bits N] [--seed S] [--data-seed S]\n"
-      "                  [--pipeline-block B]\n"
       "                  [--connect-timeout-ms T] [--receive-timeout-ms T]\n"
       "                  [--stall-ms T] [--out results.csv]\n"
       "  out-of-core (X streams from a dash_pack file instead of RAM):\n"
@@ -147,10 +146,6 @@ int RealMain(int argc, char** argv) {
     } else if (arg == "--frac-bits") {
       if (!next_i64(&v)) return 2;
       scan_options.frac_bits = static_cast<int>(v);
-    } else if (arg == "--pipeline-block") {
-      // Block-pipelined aggregation: overlap computing block b+1 with
-      // block b's secure-sum round. Bit-identical to the one-shot path.
-      if (!next_i64(&scan_options.pipeline_block_variants)) return 2;
     } else if (arg == "--seed") {
       if (!next_i64(&v)) return 2;
       scan_options.seed = static_cast<uint64_t>(v);

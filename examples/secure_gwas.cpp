@@ -14,7 +14,7 @@
 
 #include "core/secure_scan.h"
 #include "data/workloads.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/stopwatch.h"
 
 namespace {

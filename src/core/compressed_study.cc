@@ -6,7 +6,9 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "net/network.h"
+#include "mpc/secure_sum.h"
+#include "transport/inprocess_mesh.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 
@@ -110,52 +112,40 @@ Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
     const std::vector<CompressedStudy>& locals,
     const SecureScanOptions& options) {
   if (locals.empty()) return InvalidArgumentError("no parties given");
-  InProcessTransport transport(static_cast<int>(locals.size()));
-  return SecureAggregate(locals, options, &transport);
-}
-
-Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
-    const std::vector<CompressedStudy>& locals,
-    const SecureScanOptions& options, Transport* transport) {
-  DASH_CHECK(transport != nullptr);
-  if (locals.empty()) return InvalidArgumentError("no parties given");
-  if (transport->num_parties() != static_cast<int>(locals.size()) ||
-      transport->local_party() != -1) {
-    return InvalidArgumentError(
-        "SecureAggregate needs an in-process transport with one slot per "
-        "accumulator");
-  }
   const int64_t m = locals[0].m_;
   const int64_t k = locals[0].k_;
   const int64_t t = locals[0].t_;
-  std::vector<Vector> flats;
-  int64_t total = 0;
   for (size_t p = 0; p < locals.size(); ++p) {
     if (locals[p].m_ != m || locals[p].k_ != k || locals[p].t_ != t) {
       return InvalidArgumentError("party " + std::to_string(p) +
                                   " accumulator has inconsistent shape");
     }
-    flats.push_back(locals[p].Flatten());
-    total += locals[p].n_;
   }
+  InProcessMesh mesh(static_cast<int>(locals.size()));
+  if (options.trace != nullptr) mesh.AttachTrace(options.trace);
+  SecureOutput out;
+  DASH_ASSIGN_OR_RETURN(
+      out.study, SimulateParties(&mesh, [&](int i, Transport* transport) {
+        return PartySecureAggregate(transport, locals[static_cast<size_t>(i)],
+                                    options);
+      }));
+  out.metrics = MetricsFromTraffic(mesh.metrics());
+  return out;
+}
 
-  Transport& network = *transport;
-  if (options.trace != nullptr) network.AttachTrace(options.trace);
+Result<CompressedStudy> CompressedStudy::PartySecureAggregate(
+    Transport* transport, const CompressedStudy& local,
+    const SecureScanOptions& options) {
+  DASH_ASSIGN_OR_RETURN(int64_t total,
+                        PartyPooledSampleCount(transport, local.n_));
   SecureSumOptions sum_options;
   sum_options.mode = options.aggregation;
   sum_options.frac_bits = options.frac_bits;
   sum_options.seed = options.seed ^ 0xc0435;
-  SecureVectorSum secure_sum(&network, sum_options);
+  PartySecureVectorSum secure_sum(transport, sum_options);
   DASH_ASSIGN_OR_RETURN(Vector totals,
-                        secure_sum.Run(ToSecretInputs(std::move(flats))));
-
-  SecureOutput out;
-  DASH_ASSIGN_OR_RETURN(out.study, Unflatten(totals, total, m, k, t));
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
-  return out;
+                        secure_sum.Run(Secret<Vector>(local.Flatten())));
+  return Unflatten(totals, total, local.m_, local.k_, local.t_);
 }
 
 Result<ScanResult> CompressedStudy::Scan(

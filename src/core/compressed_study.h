@@ -48,16 +48,17 @@ class CompressedStudy {
   // must match) into one public study. This is the communication step of
   // the online setting (core/secure_online_scan.h): parties keep merging
   // local batches into their accumulator and re-aggregate whenever a
-  // fresh result is wanted.
+  // fresh result is wanted. Simulated: every party runs
+  // PartySecureAggregate on its own in-process mesh endpoint.
   static Result<SecureOutput> SecureAggregate(
       const std::vector<CompressedStudy>& locals,
       const SecureScanOptions& options = {});
 
-  // Same, over a caller-supplied in-process transport (one slot per
-  // accumulator); the default overload creates a private one.
-  static Result<SecureOutput> SecureAggregate(
-      const std::vector<CompressedStudy>& locals,
-      const SecureScanOptions& options, Transport* transport);
+  // One party's side of SecureAggregate: the pooled sample count (phase
+  // 0) and one secure sum of its accumulator.
+  static Result<CompressedStudy> PartySecureAggregate(
+      Transport* transport, const CompressedStudy& local,
+      const SecureScanOptions& options);
 
   int64_t num_samples() const { return n_; }
   int64_t num_variants() const { return m_; }

@@ -11,113 +11,78 @@
 namespace dash {
 namespace {
 
-Status ValidateInputs(Transport* network, const std::vector<Matrix>& local_r) {
-  if (static_cast<int>(local_r.size()) != network->num_parties()) {
-    return InvalidArgumentError("one R factor per party required");
-  }
-  const int64_t k = local_r[0].cols();
-  for (const auto& r : local_r) {
-    if (r.rows() != k || r.cols() != k) {
-      return InvalidArgumentError("R factors must all be K x K");
-    }
-  }
-  return Status::Ok();
-}
-
-Result<DistributedQrResult> RunBroadcastStack(
-    Transport* network, const std::vector<Matrix>& local_r) {
-  const int p = network->num_parties();
-  network->BeginRound();
-  for (int i = 0; i < p; ++i) {
-    ByteWriter w;
-    w.PutMatrix(local_r[static_cast<size_t>(i)]);
-    DASH_ROUND(phase1_rfactor, kRFactor);
-    DASH_RETURN_IF_ERROR(network->Broadcast(i, MessageTag::kRFactor, w.Take()));
-  }
-  // Each party stacks what it received (plus its own) and factors; the
-  // results agree because the sign convention makes R unique. We compute
-  // party 0's view and drain the symmetric messages.
+// Broadcast-stack mode: every party ends up factoring the identical
+// stack (the sign convention makes R unique).
+Result<Matrix> CombineBroadcastStack(Transport* net, const Matrix& own_r) {
+  const int p = net->num_parties();
+  const int local = net->local_party();
+  net->BeginRound();
+  ByteWriter w;
+  w.PutMatrix(own_r);
+  DASH_ROUND(phase1_rfactor, kRFactor);
+  DASH_RETURN_IF_ERROR(net->Broadcast(local, MessageTag::kRFactor, w.Take()));
   std::vector<Matrix> stack(static_cast<size_t>(p));
-  stack[0] = local_r[0];
-  for (int q = 1; q < p; ++q) {
+  stack[static_cast<size_t>(local)] = own_r;
+  for (int q = 0; q < p; ++q) {
+    if (q == local) continue;
     DASH_ROUND(phase1_rfactor, kRFactor);
     DASH_ASSIGN_OR_RETURN(Message msg,
-                          network->Receive(0, q, MessageTag::kRFactor));
+                          net->Receive(local, q, MessageTag::kRFactor));
     ByteReader r(msg.payload);
     DASH_ASSIGN_OR_RETURN(stack[static_cast<size_t>(q)], r.GetMatrix());
   }
-  for (int i = 1; i < p; ++i) {
-    for (int q = 0; q < p; ++q) {
-      if (q == i) continue;
-      DASH_ROUND_DRAIN(phase1_rfactor, kRFactor);
-      DASH_RETURN_IF_ERROR(
-          network->Receive(i, q, MessageTag::kRFactor).status());
-    }
-  }
-  DistributedQrResult out;
-  DASH_ASSIGN_OR_RETURN(out.r, CombineRFactors(stack));
-  DASH_ASSIGN_OR_RETURN(out.r_inverse, InvertUpperTriangular(out.r));
-  out.rounds = 1;
-  return out;
+  return CombineRFactors(stack);
 }
 
-Result<DistributedQrResult> RunBinaryTree(Transport* network,
-                                          const std::vector<Matrix>& local_r) {
-  const int p = network->num_parties();
-  // active[i] is party i's current merged factor; parties drop out as
-  // their factor is absorbed by a lower-indexed partner.
-  std::vector<Matrix> current = local_r;
+// Binary-tree mode: the merge schedule is a deterministic function of
+// (P, stride), so each party replays the full activity pattern locally
+// and only performs its own sends/receives.
+Result<Matrix> CombineBinaryTree(Transport* net, const Matrix& own_r) {
+  const int p = net->num_parties();
+  const int local = net->local_party();
+  Matrix current = own_r;
   std::vector<bool> active(static_cast<size_t>(p), true);
-  int rounds = 0;
   for (int stride = 1; stride < p; stride *= 2) {
-    network->BeginRound();
-    ++rounds;
-    // Senders first (all messages of the round go out before any merge).
-    for (int i = 0; i < p; ++i) {
-      if (!active[static_cast<size_t>(i)]) continue;
-      if ((i / stride) % 2 == 1 && i - stride >= 0) {
-        ByteWriter w;
-        w.PutMatrix(current[static_cast<size_t>(i)]);
-        DASH_ROUND(phase1_tree_merge, kTreeR);
-        DASH_RETURN_IF_ERROR(
-            network->Send(i, i - stride, MessageTag::kTreeR, w.Take()));
-      }
-    }
-    for (int i = 0; i < p; ++i) {
-      if (!active[static_cast<size_t>(i)]) continue;
-      if ((i / stride) % 2 == 1 && i - stride >= 0) {
-        active[static_cast<size_t>(i)] = false;
-      } else if (i + stride < p && active[static_cast<size_t>(i + stride)]) {
-        DASH_ROUND(phase1_tree_merge, kTreeR);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg, network->Receive(i, i + stride, MessageTag::kTreeR));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(Matrix peer, r.GetMatrix());
-        DASH_ASSIGN_OR_RETURN(
-            current[static_cast<size_t>(i)],
-            QrRFactor(VStack({current[static_cast<size_t>(i)], peer})));
-      }
-    }
-  }
-  // Party 0 holds the pooled R; broadcast it so every party can proceed.
-  if (p > 1) {
-    network->BeginRound();
-    ++rounds;
-    ByteWriter w;
-    w.PutMatrix(current[0]);
-    DASH_ROUND(phase1_tree_root, kRFactor);
-    DASH_RETURN_IF_ERROR(network->Broadcast(0, MessageTag::kRFactor, w.Take()));
-    for (int i = 1; i < p; ++i) {
-      DASH_ROUND(phase1_tree_root, kRFactor);
+    net->BeginRound();
+    if (active[static_cast<size_t>(local)] && (local / stride) % 2 == 1 &&
+        local - stride >= 0) {
+      ByteWriter w;
+      w.PutMatrix(current);
+      DASH_ROUND(phase1_tree_merge, kTreeR);
       DASH_RETURN_IF_ERROR(
-          network->Receive(i, 0, MessageTag::kRFactor).status());
+          net->Send(local, local - stride, MessageTag::kTreeR, w.Take()));
+    } else if (active[static_cast<size_t>(local)] && local + stride < p &&
+               active[static_cast<size_t>(local + stride)]) {
+      DASH_ROUND(phase1_tree_merge, kTreeR);
+      DASH_ASSIGN_OR_RETURN(
+          Message msg, net->Receive(local, local + stride, MessageTag::kTreeR));
+      ByteReader r(msg.payload);
+      DASH_ASSIGN_OR_RETURN(Matrix peer, r.GetMatrix());
+      DASH_ASSIGN_OR_RETURN(current, QrRFactor(VStack({current, peer})));
+    }
+    // Replay the round's deactivations for every party.
+    for (int i = 0; i < p; ++i) {
+      if (active[static_cast<size_t>(i)] && (i / stride) % 2 == 1 &&
+          i - stride >= 0) {
+        active[static_cast<size_t>(i)] = false;
+      }
     }
   }
-  DistributedQrResult out;
-  out.r = std::move(current[0]);
-  DASH_ASSIGN_OR_RETURN(out.r_inverse, InvertUpperTriangular(out.r));
-  out.rounds = rounds;
-  return out;
+  // Party 0 holds the pooled R; it broadcasts it so every party can
+  // proceed.
+  net->BeginRound();
+  if (local == 0) {
+    ByteWriter w;
+    w.PutMatrix(current);
+    DASH_ROUND(phase1_tree_root, kRFactor);
+    DASH_RETURN_IF_ERROR(net->Broadcast(0, MessageTag::kRFactor, w.Take()));
+    return current;
+  }
+  DASH_ROUND(phase1_tree_root, kRFactor);
+  DASH_ASSIGN_OR_RETURN(Message msg,
+                        net->Receive(local, 0, MessageTag::kRFactor));
+  ByteReader r(msg.payload);
+  return r.GetMatrix();
 }
 
 }  // namespace
@@ -132,22 +97,41 @@ const char* RCombineModeName(RCombineMode mode) {
   return "unknown";
 }
 
-Result<DistributedQrResult> CombineRFactorsOverNetwork(
-    Transport* network, const std::vector<Matrix>& local_r, RCombineMode mode) {
-  DASH_RETURN_IF_ERROR(ValidateInputs(network, local_r));
-  if (network->num_parties() == 1) {
-    DistributedQrResult out;
-    out.r = local_r[0];
-    DASH_ASSIGN_OR_RETURN(out.r_inverse, InvertUpperTriangular(out.r));
-    return out;
-  }
+Result<Matrix> PartyCombineRFactors(Transport* transport, const Matrix& own_r,
+                                    RCombineMode mode) {
+  if (transport->num_parties() == 1) return own_r;
   switch (mode) {
     case RCombineMode::kBroadcastStack:
-      return RunBroadcastStack(network, local_r);
+      return CombineBroadcastStack(transport, own_r);
     case RCombineMode::kBinaryTree:
-      return RunBinaryTree(network, local_r);
+      return CombineBinaryTree(transport, own_r);
   }
   return InternalError("unknown R-combine mode");
+}
+
+Result<DistributedQrResult> CombineRFactorsOverNetwork(
+    InProcessMesh* mesh, const std::vector<Matrix>& local_r,
+    RCombineMode mode) {
+  if (static_cast<int>(local_r.size()) != mesh->num_parties()) {
+    return InvalidArgumentError("one R factor per party required");
+  }
+  const int64_t k = local_r[0].cols();
+  for (const auto& r : local_r) {
+    if (r.rows() != k || r.cols() != k) {
+      return InvalidArgumentError("R factors must all be K x K");
+    }
+  }
+  return SimulateParties(
+      mesh, [&](int i, Transport* t) -> Result<DistributedQrResult> {
+        const int rounds_before = t->metrics().rounds();
+        DistributedQrResult out;
+        DASH_ASSIGN_OR_RETURN(
+            out.r, PartyCombineRFactors(t, local_r[static_cast<size_t>(i)],
+                                        mode));
+        DASH_ASSIGN_OR_RETURN(out.r_inverse, InvertUpperTriangular(out.r));
+        out.rounds = t->metrics().rounds() - rounds_before;
+        return out;
+      });
 }
 
 }  // namespace dash

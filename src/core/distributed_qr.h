@@ -12,6 +12,10 @@
 //  * kBinaryTree     — the footnote-3 variant: parties merge pairwise in
 //    ceil(log2 P) rounds, so each party shares its K x K matrix with at
 //    most one peer per round; the final holder broadcasts R.
+//
+// PartyCombineRFactors is the one implementation (one party's side over
+// a party-bound transport); CombineRFactorsOverNetwork runs it at every
+// endpoint of an in-process mesh for simulations and tests.
 
 #ifndef DASH_CORE_DISTRIBUTED_QR_H_
 #define DASH_CORE_DISTRIBUTED_QR_H_
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "transport/inprocess_mesh.h"
 #include "transport/transport.h"
 #include "util/status.h"
 
@@ -37,10 +42,17 @@ struct DistributedQrResult {
   int rounds = 0;    // network rounds consumed
 };
 
-// Runs the combination over `network`; local_r[p] is party p's R factor.
-// All factors must be K x K and the network must have one slot per party.
+// Runs party transport->local_party()'s side of the combination with
+// its own K x K factor `own_r`; returns the pooled R, bit-identical at
+// every party (the merge schedule is a deterministic function of P).
+Result<Matrix> PartyCombineRFactors(Transport* transport, const Matrix& own_r,
+                                    RCombineMode mode);
+
+// The simulator: local_r[p] is party p's factor; every party runs
+// PartyCombineRFactors on its own mesh endpoint. All factors must be
+// K x K and the mesh must have one endpoint per factor.
 Result<DistributedQrResult> CombineRFactorsOverNetwork(
-    Transport* network, const std::vector<Matrix>& local_r, RCombineMode mode);
+    InProcessMesh* mesh, const std::vector<Matrix>& local_r, RCombineMode mode);
 
 }  // namespace dash
 

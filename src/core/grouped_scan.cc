@@ -2,16 +2,14 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
 
-#include "core/distributed_qr.h"
-#include "core/party_local.h"
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "net/network.h"
+#include "mpc/secure_sum.h"
 #include "stats/distributions.h"
-#include "util/thread_pool.h"
+#include "transport/inprocess_mesh.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 namespace {
@@ -182,6 +180,28 @@ Status ValidateGroupShape(int64_t cols, int64_t group_size) {
   return Status::Ok();
 }
 
+// One party's side of the secure grouped scan: Phases 0-1, then one
+// secure-sum aggregation of the grouped statistics.
+Result<GroupedScanResult> PartyGroupedScan(Transport* transport,
+                                           const PartyData& party,
+                                           int64_t group_size,
+                                           const SecureScanOptions& options) {
+  DASH_ASSIGN_OR_RETURN(PartyBasis basis,
+                        RunPartyPhase1(transport, party.c, options.r_combine));
+  SecureSumOptions sum_options;
+  sum_options.mode = options.aggregation;
+  sum_options.frac_bits = options.frac_bits;
+  sum_options.seed = options.seed;
+  PartySecureVectorSum secure_sum(transport, sum_options);
+  DASH_ASSIGN_OR_RETURN(
+      Vector totals,
+      secure_sum.Run(Secret<Vector>(
+          ComputeGroupedFlat(party.x, group_size, party.y, basis.q_p))));
+  return FinalizeGrouped(totals, basis.total_samples,
+                         party.x.cols() / group_size, group_size,
+                         party.c.cols());
+}
+
 }  // namespace
 
 Result<GroupedScanResult> GroupedScan(const Matrix& x, int64_t group_size,
@@ -206,49 +226,14 @@ Result<SecureGroupedScanOutput> SecureGroupedScan(
     const SecureScanOptions& options) {
   DASH_RETURN_IF_ERROR(ValidateParties(parties));
   DASH_RETURN_IF_ERROR(ValidateGroupShape(parties[0].x.cols(), group_size));
-  const int num_parties = static_cast<int>(parties.size());
-  const int64_t k = parties[0].c.cols();
-  const int64_t groups = parties[0].x.cols() / group_size;
-
-  Network network(num_parties);
-  Matrix r_inverse(0, 0);
-  if (k > 0) {
-    std::vector<Matrix> local_r;
-    for (const auto& p : parties) {
-      DASH_ASSIGN_OR_RETURN(Matrix r, PartyLocalRFactor(p));
-      local_r.push_back(std::move(r));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        DistributedQrResult qr,
-        CombineRFactorsOverNetwork(&network, local_r, options.r_combine));
-    r_inverse = std::move(qr.r_inverse);
-  }
-
-  std::vector<Vector> flats;
-  int64_t total_samples = 0;
-  for (const auto& p : parties) {
-    const Matrix q_p =
-        (k > 0) ? PartyLocalQ(p, r_inverse) : Matrix(p.num_samples(), 0);
-    flats.push_back(ComputeGroupedFlat(p.x, group_size, p.y, q_p));
-    total_samples += p.num_samples();
-  }
-
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector totals,
-                        secure_sum.Run(ToSecretInputs(std::move(flats))));
-
+  InProcessMesh mesh(static_cast<int>(parties.size()));
   SecureGroupedScanOutput out;
   DASH_ASSIGN_OR_RETURN(
-      out.result,
-      FinalizeGrouped(totals, total_samples, groups, group_size, k));
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+      out.result, SimulateParties(&mesh, [&](int i, Transport* t) {
+        return PartyGroupedScan(t, parties[static_cast<size_t>(i)], group_size,
+                                options);
+      }));
+  out.metrics = MetricsFromTraffic(mesh.metrics());
   return out;
 }
 

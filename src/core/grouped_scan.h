@@ -54,7 +54,9 @@ struct SecureGroupedScanOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party grouped scan over the usual protocol substrate.
+// Secure multi-party grouped scan, simulated with one thread per party
+// on an in-process mesh: Phases 0-1 plus one secure sum of the grouped
+// statistics.
 Result<SecureGroupedScanOutput> SecureGroupedScan(
     const std::vector<PartyData>& parties, int64_t group_size,
     const SecureScanOptions& options = {});

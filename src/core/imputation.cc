@@ -2,9 +2,33 @@
 
 #include "data/missing_data.h"
 #include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
+#include "transport/party_runner.h"
 
 namespace dash {
+
+namespace {
+
+// One party's side: the pooled sample count (phase 0) and one secure sum
+// of [column sums | non-missing counts]. Returns the public totals.
+Result<Vector> PartyImputationTotals(Transport* transport,
+                                     const PartyData& party,
+                                     const SecureScanOptions& options,
+                                     int64_t* total_samples) {
+  DASH_ASSIGN_OR_RETURN(*total_samples,
+                        PartyPooledSampleCount(transport, party.num_samples()));
+  const ColumnMoments moments = ColumnSumsAndCounts(party.x);
+  Vector flat = moments.sums;
+  flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
+  SecureSumOptions sum_options;
+  sum_options.mode = options.aggregation;
+  sum_options.frac_bits = options.frac_bits;
+  sum_options.seed = options.seed ^ 0x1255;
+  PartySecureVectorSum secure_sum(transport, sum_options);
+  return secure_sum.Run(Secret<Vector>(std::move(flat)));
+}
+
+}  // namespace
 
 Result<SecureImputationOutput> SecureMeanImpute(
     std::vector<PartyData>* parties, const SecureScanOptions& options) {
@@ -12,36 +36,23 @@ Result<SecureImputationOutput> SecureMeanImpute(
   const int num_parties = static_cast<int>(parties->size());
   const int64_t m = (*parties)[0].x.cols();
 
-  // Each party contributes [column sums | non-missing counts].
-  std::vector<Vector> contributions;
-  contributions.reserve(static_cast<size_t>(num_parties));
-  int64_t total_missing = 0;
-  for (const auto& p : *parties) {
-    const ColumnMoments moments = ColumnSumsAndCounts(p.x);
-    total_missing += p.x.size();
-    Vector flat;
-    flat.reserve(static_cast<size_t>(2 * m));
-    flat.insert(flat.end(), moments.sums.begin(), moments.sums.end());
-    flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
-    for (const double c : moments.counts) total_missing -= static_cast<int64_t>(c);
-    contributions.push_back(std::move(flat));
-  }
-
-  Network network(num_parties);
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed ^ 0x1255;
-  SecureVectorSum secure_sum(&network, sum_options);
-  DASH_ASSIGN_OR_RETURN(
-      Vector totals, secure_sum.Run(ToSecretInputs(std::move(contributions))));
-
   SecureImputationOutput out;
-  out.total_missing = total_missing;
+  for (const auto& p : *parties) out.total_missing += CountMissing(p.x);
+
+  InProcessMesh mesh(num_parties);
+  int64_t total_samples = 0;
+  DASH_ASSIGN_OR_RETURN(
+      Vector totals, SimulateParties(&mesh, [&](int i, Transport* t) {
+        // Every party learns the same public N; party 0 reports it.
+        int64_t n = 0;
+        Result<Vector> got = PartyImputationTotals(
+            t, (*parties)[static_cast<size_t>(i)], options, &n);
+        if (i == 0) total_samples = n;
+        return got;
+      }));
+
   out.means.assign(static_cast<size_t>(m), 0.0);
   out.call_rates.assign(static_cast<size_t>(m), 0.0);
-  int64_t total_samples = 0;
-  for (const auto& p : *parties) total_samples += p.num_samples();
   for (int64_t j = 0; j < m; ++j) {
     const double sum = totals[static_cast<size_t>(j)];
     const double count = totals[static_cast<size_t>(m + j)];
@@ -55,12 +66,9 @@ Result<SecureImputationOutput> SecureMeanImpute(
             : 0.0;
   }
 
+  // Each party imputes its own rows with the public means.
   for (auto& p : *parties) ImputeWithMeans(out.means, &p.x);
-
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
+  out.metrics = MetricsFromTraffic(mesh.metrics());
   return out;
 }
 

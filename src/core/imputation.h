@@ -28,9 +28,10 @@ struct SecureImputationOutput {
   SecureScanMetrics metrics;
 };
 
-// Aggregates global column means over `network`-free in-process parties
-// using the configured aggregation mode, then imputes every party's X in
-// place. Columns with no observed entries anywhere impute to 0 (and will
+// Simulates the protocol (one thread per party on an in-process mesh):
+// the pooled sample count and one secure sum of every party's
+// [column sums | non-missing counts] under the configured aggregation
+// mode, then imputes every party's X in place. Columns with no observed entries anywhere impute to 0 (and will
 // be flagged untestable by the scan). Parties must already validate
 // (consistent M).
 Result<SecureImputationOutput> SecureMeanImpute(

@@ -42,8 +42,9 @@ struct SecureMultiPhenotypeOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party version: one R combination plus one secure-sum
-// aggregation covering all phenotypes.
+// Secure multi-party version, simulated with one thread per party on an
+// in-process mesh: Phases 0-1 plus one secure-sum aggregation covering
+// all phenotypes.
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options = {});

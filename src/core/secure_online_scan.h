@@ -40,10 +40,6 @@ class SecureOnlineScan {
   // N > K + 1 accumulated samples overall.
   Result<SecureScanOutput> Finalize() const;
 
-  // Same, over a caller-supplied in-process transport (transport-level
-  // metrics/trace accumulate across repeated finalizations).
-  Result<SecureScanOutput> Finalize(Transport* transport) const;
-
   int64_t samples_seen() const;
   int64_t batches_seen() const { return batches_; }
   int num_parties() const { return static_cast<int>(accumulators_.size()); }

@@ -1,19 +1,13 @@
 #include "core/secure_scan.h"
 
-#include <memory>
+#include <algorithm>
 #include <string>
-#include <utility>
+#include <vector>
 
-#include "core/party_local.h"
-#include "core/scan_pipeline.h"
-#include "mpc/secure_projection.h"
-#include "net/network.h"
-#include "net/round_annotations.h"
-#include "net/serialization.h"
 #include "core/suff_stats.h"
-#include "util/logging.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
+#include "mpc/beaver.h"
+#include "mpc/secure_projection.h"
+#include "transport/party_runner.h"
 
 namespace dash {
 
@@ -25,6 +19,15 @@ const char* ProjectionSecurityName(ProjectionSecurity security) {
       return "beaver-dot-products";
   }
   return "unknown";
+}
+
+SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic) {
+  SecureScanMetrics m;
+  m.total_bytes = traffic.total_bytes();
+  m.total_messages = traffic.total_messages();
+  m.max_link_bytes = traffic.MaxLinkBytes();
+  m.rounds = traffic.rounds();
+  return m;
 }
 
 SecureAssociationScan::SecureAssociationScan(const SecureScanOptions& options)
@@ -40,353 +43,56 @@ Result<ScanResult> FinalizeScanWithAbsorbedParams(
 }
 
 Result<SecureScanOutput> SecureAssociationScan::Run(
-    const std::vector<PartyData>& input_parties) const {
-  DASH_RETURN_IF_ERROR(ValidateParties(input_parties));
-  InProcessTransport transport(static_cast<int>(input_parties.size()));
-  return Run(input_parties, &transport);
+    const std::vector<PartyData>& parties) const {
+  DASH_RETURN_IF_ERROR(ValidateParties(parties));
+  InProcessMesh mesh(static_cast<int>(parties.size()));
+  return Run(parties, &mesh);
 }
 
 Result<SecureScanOutput> SecureAssociationScan::Run(
-    const std::vector<PartyData>& input_parties, Transport* transport) const {
-  DASH_CHECK(transport != nullptr);
-  DASH_RETURN_IF_ERROR(ValidateParties(input_parties));
-  if (transport->local_party() != -1) {
-    return InvalidArgumentError(
-        "SecureAssociationScan::Run drives all parties and needs an "
-        "in-process transport; party-bound transports go through "
-        "RunPartySecureScan (transport/party_runner.h)");
-  }
-  if (transport->num_parties() != static_cast<int>(input_parties.size())) {
-    return InvalidArgumentError("transport has " +
-                                std::to_string(transport->num_parties()) +
-                                " party slots for " +
-                                std::to_string(input_parties.size()) +
-                                " parties");
-  }
-  if (options_.pipeline_block_variants > 0 &&
-      options_.projection == ProjectionSecurity::kBeaverDotProducts) {
-    return InvalidArgumentError(
-        "pipeline_block_variants requires kRevealProjectedSums; the Beaver "
-        "projection consumes whole K-vectors and cannot be blocked");
-  }
-  const int num_parties = static_cast<int>(input_parties.size());
-  const int64_t m = input_parties[0].x.cols();
-  const int64_t k = input_parties[0].c.cols();
-
-  // Per-party preprocessing (the batch-indicator equivalence).
-  const std::vector<PartyData>* parties = &input_parties;
-  std::vector<PartyData> centered;
-  int64_t absorbed_params = 0;
-  if (options_.center_per_party) {
-    for (const auto& p : input_parties) {
-      for (int64_t j = 0; j < p.c.cols(); ++j) {
-        // A constant column would become zero after centering; catch the
-        // common mistake of passing an explicit intercept in this mode.
-        bool constant = p.c.rows() > 0;
-        for (int64_t i = 1; i < p.c.rows() && constant; ++i) {
-          constant = (p.c(i, j) == p.c(0, j));
-        }
-        if (constant && p.c.rows() > 0) {
-          return InvalidArgumentError(
-              "center_per_party absorbs the intercept; remove constant "
-              "column " + std::to_string(j) + " from C");
-        }
-      }
-    }
-    centered = input_parties;
-    CenterPerParty(&centered);
-    parties = &centered;
-    absorbed_params = num_parties;
+    const std::vector<PartyData>& parties, InProcessMesh* mesh) const {
+  DASH_CHECK(mesh != nullptr);
+  // Cross-party shape agreement is the one check no single party can
+  // make before the wire; everything else each party validates itself.
+  DASH_RETURN_IF_ERROR(ValidateParties(parties));
+  const int num_parties = static_cast<int>(parties.size());
+  if (mesh->num_parties() != num_parties) {
+    return InvalidArgumentError("mesh has " +
+                                std::to_string(mesh->num_parties()) +
+                                " endpoints for " +
+                                std::to_string(num_parties) + " parties");
   }
 
-  Transport& network = *transport;
-  if (options_.trace != nullptr) network.AttachTrace(options_.trace);
-  Stopwatch protocol_timer;
-  double local_seconds = 0.0;
-  double protocol_seconds = 0.0;
-  Stopwatch local_timer;
-
-  // Stage 0 (network): exchange the public per-party sample counts. The
-  // pooled N enters the revealed output (degrees of freedom), so a real
-  // deployment has to communicate it; keeping it on the wire here makes
-  // the in-process and TCP message patterns identical.
-  int64_t total_samples = 0;
-  if (num_parties > 1) {
-    network.BeginRound();
-    for (int i = 0; i < num_parties; ++i) {
-      ByteWriter w;
-      w.PutI64((*parties)[static_cast<size_t>(i)].num_samples());
-      DASH_ROUND(phase0_samplecount, kSampleCount);
-      DASH_RETURN_IF_ERROR(
-          network.Broadcast(i, MessageTag::kSampleCount, w.Take()));
-    }
-    total_samples = (*parties)[0].num_samples();
-    for (int q = 1; q < num_parties; ++q) {
-      DASH_ROUND(phase0_samplecount, kSampleCount);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            network.Receive(0, q, MessageTag::kSampleCount));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(int64_t n_q, r.GetI64());
-      total_samples += n_q;
-    }
-    for (int i = 1; i < num_parties; ++i) {
-      for (int q = 0; q < num_parties; ++q) {
-        if (q == i) continue;
-        DASH_ROUND_DRAIN(phase0_samplecount, kSampleCount);
-        DASH_RETURN_IF_ERROR(
-            network.Receive(i, q, MessageTag::kSampleCount).status());
-      }
-    }
-  } else {
-    total_samples = (*parties)[0].num_samples();
+  // The simulator is the Beaver projection's trusted dealer.
+  std::vector<std::vector<Secret<BeaverTripleShare>>> triples;
+  const bool beaver =
+      options_.projection == ProjectionSecurity::kBeaverDotProducts;
+  if (beaver) {
+    const int64_t k = parties[0].c.cols();
+    const int64_t m = parties[0].x.cols();
+    DealerTripleProvider dealer(num_parties, options_.seed ^ 0xbea7e5);
+    triples = dealer.Deal(k > 0 ? ProjectionTripleCount(k, m) : 0);
   }
 
-  // Stage 1 (local): K x K R factors.
-  std::vector<Matrix> local_r;
-  local_r.reserve(static_cast<size_t>(num_parties));
-  if (k > 0) {
-    for (const auto& p : *parties) {
-      DASH_ASSIGN_OR_RETURN(Matrix r, PartyLocalRFactor(p));
-      local_r.push_back(std::move(r));
-    }
+  std::vector<SecureScanMetrics> party_metrics(
+      static_cast<size_t>(num_parties));
+  DASH_ASSIGN_OR_RETURN(
+      SecureScanOutput out,
+      SimulateParties(mesh, [&](int i, Transport* t) {
+        const PartyData& party = parties[static_cast<size_t>(i)];
+        Result<SecureScanOutput> got =
+            beaver ? RunPartySecureScan(t, party, options_,
+                                        triples[static_cast<size_t>(i)])
+                   : RunPartySecureScan(t, party, options_);
+        if (got.ok()) party_metrics[static_cast<size_t>(i)] = got->metrics;
+        return got;
+      }));
+  out.metrics = MetricsFromTraffic(mesh->metrics());
+  for (const SecureScanMetrics& m : party_metrics) {
+    out.metrics.local_compute_seconds += m.local_compute_seconds;
+    out.metrics.protocol_seconds =
+        std::max(out.metrics.protocol_seconds, m.protocol_seconds);
   }
-  local_seconds += local_timer.ElapsedSeconds();
-
-  // Stage 2 (network): combine R factors; every party learns R⁻¹.
-  Matrix r_inverse(0, 0);
-  protocol_timer.Reset();
-  if (k > 0) {
-    DASH_ASSIGN_OR_RETURN(
-        DistributedQrResult qr,
-        CombineRFactorsOverNetwork(&network, local_r, options_.r_combine));
-    r_inverse = std::move(qr.r_inverse);
-  }
-  protocol_seconds += protocol_timer.ElapsedSeconds();
-
-  // Stage 3 (local): Q_p rows. A single pool is shared across parties;
-  // within a real deployment each party would use its own cores, so
-  // this models total core usage.
-  local_timer.Reset();
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  std::vector<Matrix> q_ps;
-  q_ps.reserve(static_cast<size_t>(num_parties));
-  for (const auto& p : *parties) {
-    q_ps.push_back((k > 0) ? PartyLocalQ(p, r_inverse)
-                           : Matrix(p.num_samples(), 0));
-  }
-  local_seconds += local_timer.ElapsedSeconds();
-
-  SecureSumOptions sum_options;
-  sum_options.mode = options_.aggregation;
-  sum_options.frac_bits = options_.frac_bits;
-  sum_options.seed = options_.seed;
-  SecureVectorSum secure_sum(&network, sum_options);
-
-  ScanResult result;
-  if (options_.projection == ProjectionSecurity::kRevealProjectedSums) {
-    Vector flat_totals;
-    if (options_.pipeline_block_variants > 0) {
-      // Stage 3+4 (pipelined): header round, then one round per variant
-      // block; block b+1 is computed while block b's aggregate is in
-      // flight (core/scan_pipeline.h). Overlapped compute hides inside
-      // protocol_seconds by construction.
-      const PipelinePlan plan{m, k, options_.pipeline_block_variants};
-      const int64_t num_blocks = plan.num_blocks();
-
-      local_timer.Reset();
-      std::vector<Vector> headers(static_cast<size_t>(num_parties));
-      for (int p = 0; p < num_parties; ++p) {
-        const auto& pd = (*parties)[static_cast<size_t>(p)];
-        Vector h;
-        h.reserve(static_cast<size_t>(plan.header_len()));
-        h.push_back(SquaredNorm(pd.y));
-        const Vector qty = TransposeMatVec(q_ps[static_cast<size_t>(p)], pd.y);
-        h.insert(h.end(), qty.begin(), qty.end());
-        headers[static_cast<size_t>(p)] = std::move(h);
-      }
-      local_seconds += local_timer.ElapsedSeconds();
-
-      protocol_timer.Reset();
-      DASH_ASSIGN_OR_RETURN(Vector header_totals,
-                            secure_sum.Run(ToSecretInputs(std::move(headers))));
-      flat_totals.assign(
-          static_cast<size_t>(StatsWireLayout{m, k}.total_len()), 0.0);
-      ScatterHeaderTotals(header_totals, plan, &flat_totals);
-
-      std::vector<Vector> cur(static_cast<size_t>(num_parties));
-      std::vector<Vector> next(static_cast<size_t>(num_parties));
-      const auto compute_block = [&](int64_t b, std::vector<Vector>* bufs) {
-        const int64_t w = plan.width(b);
-        for (int p = 0; p < num_parties; ++p) {
-          Vector& buf = (*bufs)[static_cast<size_t>(p)];
-          buf.assign(static_cast<size_t>(plan.block_len(b)), 0.0);
-          const auto& pd = (*parties)[static_cast<size_t>(p)];
-          ComputeStatsColumns(pd.x, pd.y, q_ps[static_cast<size_t>(p)],
-                              plan.begin(b), plan.end(b),
-                              PipelineBlockView(buf.data(), w),
-                              /*pool=*/nullptr);
-        }
-      };
-      if (num_blocks > 0) compute_block(0, &cur);
-      for (int64_t b = 0; b < num_blocks; ++b) {
-        const bool has_next = b + 1 < num_blocks;
-        if (has_next) {
-          if (pool != nullptr) {
-            pool->Schedule([&compute_block, &next, b] {
-              compute_block(b + 1, &next);
-            });
-          } else {
-            compute_block(b + 1, &next);
-          }
-        }
-        Result<Vector> block_totals = secure_sum.Run(ToSecretInputs(cur));
-        // Join the in-flight compute before any early return can tear
-        // down the buffers it writes.
-        if (has_next && pool != nullptr) pool->Wait();
-        if (!block_totals.ok()) return block_totals.status();
-        ScatterBlockTotals(block_totals.value(), plan, b, &flat_totals);
-        cur.swap(next);
-      }
-      protocol_seconds += protocol_timer.ElapsedSeconds();
-    } else {
-      // Stage 3 (local): summands, computed directly into wire-order
-      // arenas (zero-copy flatten).
-      local_timer.Reset();
-      std::vector<Vector> flattened;
-      flattened.reserve(static_cast<size_t>(num_parties));
-      for (int p = 0; p < num_parties; ++p) {
-        flattened.push_back(PartyLocalStatsFlat(
-            (*parties)[static_cast<size_t>(p)], q_ps[static_cast<size_t>(p)],
-            pool.get()));
-      }
-      local_seconds += local_timer.ElapsedSeconds();
-
-      // Stage 4 (network): one secure-sum aggregation of everything.
-      protocol_timer.Reset();
-      DASH_ASSIGN_OR_RETURN(
-          flat_totals, secure_sum.Run(ToSecretInputs(std::move(flattened))));
-      protocol_seconds += protocol_timer.ElapsedSeconds();
-    }
-
-    // Stage 5 (local, public): Lemma 2.1 finalization.
-    local_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
-                          UnflattenStats(flat_totals, m, k));
-    totals.num_samples = total_samples;
-    DASH_ASSIGN_OR_RETURN(
-        result, FinalizeScanWithAbsorbedParams(totals, absorbed_params));
-    local_seconds += local_timer.ElapsedSeconds();
-  } else {
-    // Beaver variant: the orthogonal statistics (y.y, X.y, X.X) are
-    // summed as before, but the projected K-vectors never leave the
-    // parties — only their dot products are opened. Needs the structured
-    // summands, so no zero-copy arena here.
-    local_timer.Reset();
-    std::vector<ScanSufficientStats> party_stats;
-    party_stats.reserve(static_cast<size_t>(num_parties));
-    for (int p = 0; p < num_parties; ++p) {
-      party_stats.push_back(PartyLocalStats((*parties)[static_cast<size_t>(p)],
-                                            q_ps[static_cast<size_t>(p)],
-                                            pool.get()));
-    }
-    local_seconds += local_timer.ElapsedSeconds();
-
-    protocol_timer.Reset();
-    std::vector<Vector> plain_parts;
-    // The projected summands are per-party private data and only ever
-    // enter the Beaver protocol — Secret from the moment they exist.
-    std::vector<Secret<Vector>> qty_summands;
-    std::vector<Secret<Matrix>> qtx_summands;
-    plain_parts.reserve(static_cast<size_t>(num_parties));
-    for (const auto& stats : party_stats) {
-      Vector flat;
-      flat.reserve(static_cast<size_t>(1 + 2 * m));
-      flat.push_back(stats.yy);
-      flat.insert(flat.end(), stats.xy.begin(), stats.xy.end());
-      flat.insert(flat.end(), stats.xx.begin(), stats.xx.end());
-      plain_parts.push_back(std::move(flat));
-      qty_summands.push_back(Secret<Vector>(stats.qty));
-      qtx_summands.push_back(Secret<Matrix>(stats.qtx));
-    }
-    DASH_ASSIGN_OR_RETURN(
-        Vector plain_totals,
-        secure_sum.Run(ToSecretInputs(std::move(plain_parts))));
-
-    SecureProjectionOptions proj_options;
-    proj_options.frac_bits = options_.projection_frac_bits;
-    proj_options.seed = options_.seed ^ 0xbea7e5;
-    SecureProjectedAggregation projector(&network, proj_options);
-    DASH_ASSIGN_OR_RETURN(ProjectedStats projected,
-                          projector.Run(qty_summands, qtx_summands));
-    protocol_seconds += protocol_timer.ElapsedSeconds();
-
-    local_timer.Reset();
-    ProjectedSufficientStats totals;
-    totals.num_samples = total_samples - absorbed_params;
-    totals.num_covariates = k;
-    totals.yy = plain_totals[0];
-    totals.xy.assign(plain_totals.begin() + 1, plain_totals.begin() + 1 + m);
-    totals.xx.assign(plain_totals.begin() + 1 + m,
-                     plain_totals.begin() + 1 + 2 * m);
-    totals.qty_qty = projected.qty_qty;
-    totals.qtx_qty = std::move(projected.qtx_qty);
-    totals.qtx_qtx = std::move(projected.qtx_qtx);
-    DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
-    local_seconds += local_timer.ElapsedSeconds();
-  }
-
-  // Commit round: all parties broadcast the checksum of the result they
-  // are about to reveal and cross-check. In-process every party holds
-  // the same `result` object, so the checksums agree trivially; the
-  // round still goes over the transport to keep the wire pattern (and
-  // the per-link byte ledger) identical to the TCP deployment.
-  if (options_.commit_round && num_parties > 1) {
-    protocol_timer.Reset();
-    network.BeginRound();
-    const uint64_t checksum = ScanResultChecksum(result);
-    ByteWriter w;
-    w.PutU64(checksum);
-    const std::vector<uint8_t> payload = w.Take();
-    for (int i = 0; i < num_parties; ++i) {
-      DASH_ROUND(phase4_commit, kCommit);
-      DASH_RETURN_IF_ERROR(
-          network.Broadcast(i, MessageTag::kCommit, payload));
-    }
-    for (int i = 0; i < num_parties; ++i) {
-      for (int q = 0; q < num_parties; ++q) {
-        if (q == i) continue;
-        DASH_ROUND(phase4_commit, kCommit);
-        DASH_ASSIGN_OR_RETURN(Message msg,
-                              network.Receive(i, q, MessageTag::kCommit));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(uint64_t peer_sum, r.GetU64());
-        if (peer_sum != checksum) {
-          return DataLossError(
-              "result divergence: party " + std::to_string(q) +
-              " committed checksum " + std::to_string(peer_sum) +
-              ", party " + std::to_string(i) + " computed " +
-              std::to_string(checksum));
-        }
-      }
-    }
-    protocol_seconds += protocol_timer.ElapsedSeconds();
-  }
-
-  SecureScanOutput out;
-  out.result = std::move(result);
-  out.metrics.total_bytes = network.metrics().total_bytes();
-  out.metrics.total_messages = network.metrics().total_messages();
-  out.metrics.max_link_bytes = network.metrics().MaxLinkBytes();
-  out.metrics.rounds = network.metrics().rounds();
-  out.metrics.local_compute_seconds = local_seconds;
-  out.metrics.protocol_seconds = protocol_seconds;
-  DASH_LOG(Info) << "secure scan: P=" << num_parties << " N=" << total_samples
-                 << " M=" << m << " K=" << k << " mode="
-                 << AggregationModeName(options_.aggregation) << " bytes="
-                 << out.metrics.total_bytes;
   return out;
 }
 

@@ -13,6 +13,12 @@
 // plaintext scan uses, which is the paper's "plaintext speed" property;
 // the traffic counters exported in SecureScanOutput back the O(M)
 // communication claim (experiments E2 and E3).
+//
+// The protocol is implemented once, per party (RunPartySecureScan,
+// transport/party_runner.h). SecureAssociationScan is the in-process
+// simulator: it runs that code on P threads, one per endpoint of an
+// InProcessMesh (transport/inprocess_mesh.h), and reports the union of
+// the parties' traffic.
 
 #ifndef DASH_CORE_SECURE_SCAN_H_
 #define DASH_CORE_SECURE_SCAN_H_
@@ -25,6 +31,7 @@
 #include "core/scan_result.h"
 #include "data/party_split.h"
 #include "mpc/secure_sum.h"
+#include "transport/inprocess_mesh.h"
 #include "util/status.h"
 
 namespace dash {
@@ -63,16 +70,6 @@ struct SecureScanOptions {
   // Threads for the per-party statistics pass.
   int num_threads = 1;
 
-  // > 0 enables the block-pipelined aggregation (reveal-sums only): the
-  // variants are partitioned into blocks of this many columns and the
-  // single statistics secure-sum is replaced by a header round
-  // [yy, qty] plus one round per block [xy, xx, qtx columns], letting a
-  // party compute block b+1 while block b's aggregate is in flight on
-  // the transport (core/scan_pipeline.h). The revealed result is
-  // bit-identical to the one-shot aggregation in every mode; rounds and
-  // message counts grow with the block count. 0 = one-shot (default).
-  int64_t pipeline_block_variants = 0;
-
   // Center y, C, and X within each party before scanning. Exactly
   // equivalent to adding one batch-indicator covariate per party (the
   // paper's closing §3 note); supply C WITHOUT an intercept column in
@@ -93,17 +90,24 @@ struct SecureScanOptions {
 
   // Optional transcript recorder (net/trace.h); when non-null, every
   // protocol message's metadata is appended to it. Must outlive Run().
+  // One trace may be shared by the simulator's parties (mesh endpoints
+  // append under the mesh lock), not by concurrent TCP endpoints.
   ProtocolTrace* trace = nullptr;
 };
 
-// Cost accounting captured from the simulated network and timers.
+// Cost accounting: a party's own sends and timers from
+// RunPartySecureScan; the union over parties from the simulator.
 struct SecureScanMetrics {
   int64_t total_bytes = 0;
   int64_t total_messages = 0;
   int64_t max_link_bytes = 0;
   int rounds = 0;
-  double local_compute_seconds = 0.0;  // QR, Q_p, statistics kernels
-  double protocol_seconds = 0.0;       // R combination + secure sums
+  // Statistics kernels and finalization (the simulator sums parties:
+  // total core time).
+  double local_compute_seconds = 0.0;
+  // Phases 0-1 and the secure aggregation (the simulator reports the
+  // slowest party).
+  double protocol_seconds = 0.0;
   // True when a cached Phase-1 state was reused (party_runner.h
   // Phase1State): the sample-count and R-combination rounds were
   // replaced by a single kPhase1Probe round.
@@ -117,6 +121,10 @@ struct SecureScanMetrics {
   int64_t checkpoints_written = 0;
 };
 
+// The traffic fields of SecureScanMetrics from a ledger (a party's own,
+// or InProcessMesh::metrics() for the whole run).
+SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic);
+
 struct SecureScanOutput {
   ScanResult result;
   SecureScanMetrics metrics;
@@ -126,18 +134,19 @@ class SecureAssociationScan {
  public:
   explicit SecureAssociationScan(const SecureScanOptions& options = {});
 
-  // Runs the full protocol across all parties in-process (over a private
-  // InProcessTransport) and returns the revealed scan (identical at
-  // every party) plus cost metrics.
+  // Validates the whole party set, then runs RunPartySecureScan for
+  // every party on its own thread over a private InProcessMesh. Returns
+  // the revealed scan (identical at every party) with the union of the
+  // parties' traffic, or the status of the first party to fail (the
+  // others fail with the same code through the abort notice). For
+  // kBeaverDotProducts the simulator also acts as the triple dealer.
   Result<SecureScanOutput> Run(const std::vector<PartyData>& parties) const;
 
-  // Same, but over a caller-supplied transport, so callers can inspect
-  // per-link metrics or attach a trace at the transport level. The
-  // transport must carry all parties in-process (local_party() == -1)
-  // and have one slot per party; to run ONE party of the protocol over a
-  // real network, use RunPartySecureScan (transport/party_runner.h).
+  // Same, over a caller-supplied mesh with one endpoint per party, so
+  // callers can inspect per-link metrics or attach a trace to it. To run
+  // ONE party over a real network, use RunPartySecureScan.
   Result<SecureScanOutput> Run(const std::vector<PartyData>& parties,
-                               Transport* transport) const;
+                               InProcessMesh* mesh) const;
 
   const SecureScanOptions& options() const { return options_; }
 

@@ -28,8 +28,7 @@
 //   Because a snapshot IS the accumulator mid-chain, a resumed run's
 //   result is bit-identical to an uninterrupted one.
 //
-// I/O overlaps compute through PanelPrefetcher (double buffering) —
-// the disk analogue of scan_pipeline.h's compute/communication overlap.
+// I/O overlaps compute through PanelPrefetcher (double buffering).
 
 #ifndef DASH_CORE_STREAMING_STATS_H_
 #define DASH_CORE_STREAMING_STATS_H_

@@ -21,10 +21,9 @@
 //     in-memory matrix (the bit-identity oracle in tests).
 //
 //   - PanelPrefetcher, a double-buffered background reader that
-//     overlaps disk I/O with kernel compute the same way
-//     scan_pipeline.h overlaps compute with communication: while the
-//     scan folds panel p into its accumulators, the I/O thread is
-//     already filling the other buffer with panel p+1.
+//     overlaps disk I/O with kernel compute: while the scan folds
+//     panel p into its accumulators, the I/O thread is already filling
+//     the other buffer with panel p+1.
 //
 // Every multi-byte field is stored in the host's native byte order
 // (little-endian on every supported target); the format is an on-disk
@@ -200,9 +199,8 @@ uint64_t StudyFingerprint(const PackedGenotypeMatrix& x, const Vector& y,
 
 // Double-buffered read-ahead over a PanelSource: a background thread
 // keeps up to two panels decoded while the consumer folds the previous
-// one into its accumulators, hiding disk latency behind kernel compute
-// (the I/O analogue of scan_pipeline.h's compute/communication
-// overlap). Panels are consumed strictly in order, first_panel first —
+// one into its accumulators, hiding disk latency behind kernel compute.
+// Panels are consumed strictly in order, first_panel first —
 // exactly what the streaming scan loop wants for checkpoint/resume.
 class PanelPrefetcher {
  public:

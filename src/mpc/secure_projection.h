@@ -18,6 +18,13 @@
 // the reveal-the-sums baseline's O(M) by the factor K the paper accepts
 // for the stronger privacy — still independent of N and parallel in m.
 //
+// PartySecureProjection is the one implementation: one party's side over
+// a party-bound transport, consuming triple shares it was dealt. The
+// triples come from a trusted dealer, which only the simulator has
+// (SecureProjectedAggregation deals them and runs every party on an
+// in-process mesh); a deployment without a dealer cannot run this
+// variant, so the TCP runner rejects it (transport/party_runner.h).
+//
 // Fixed-point note: products carry 2*frac_bits fractional bits and are
 // only rescaled after the final opening (no intermediate truncation, so
 // the integer arithmetic is exact). Headroom therefore shrinks twice as
@@ -33,6 +40,7 @@
 #include "linalg/matrix.h"
 #include "mpc/beaver.h"
 #include "mpc/secrecy.h"
+#include "transport/inprocess_mesh.h"
 #include "transport/transport.h"
 #include "util/status.h"
 
@@ -52,24 +60,36 @@ struct ProjectedStats {
   Vector qtx_qtx;  // length M
 };
 
+// Beaver triples one projection of K x M summands consumes (one per
+// multiplication: K for Qᵀy.Qᵀy, 2KM for the per-variant products).
+int64_t ProjectionTripleCount(int64_t k, int64_t m);
+
+// Runs party transport->local_party()'s side: `qty` (K-vector) and `qtx`
+// (K x M) are its summands of Qᵀy and QᵀX, `triples` its shares of
+// ProjectionTripleCount(K, M) dealt triples. Summands are private
+// (mpc/secrecy.h); only the masked d/e openings and the opened result
+// scalars cross the wire. Values beyond the fixed-point headroom fail
+// with OutOfRange before any traffic.
+Result<ProjectedStats> PartySecureProjection(
+    Transport* transport, const Secret<Vector>& qty, const Secret<Matrix>& qtx,
+    const std::vector<Secret<BeaverTripleShare>>& triples, int frac_bits);
+
+// The simulator: deals the triples and runs PartySecureProjection at
+// every endpoint of `mesh`, one thread each.
 class SecureProjectedAggregation {
  public:
-  // `network` must outlive this object; one slot per party.
-  SecureProjectedAggregation(Transport* network,
+  // `mesh` must outlive this object.
+  SecureProjectedAggregation(InProcessMesh* mesh,
                              const SecureProjectionOptions& options);
 
-  // qty_summands[p] is party p's K-vector summand of Qᵀy;
-  // qtx_summands[p] its K x M summand of QᵀX. Shapes must agree across
-  // parties; values must fit the fixed-point headroom (OutOfRange
-  // otherwise). Summands are per-party private data, hence Secret
-  // (mpc/secrecy.h); only the masked d/e openings and the opened result
-  // scalars cross the wire.
+  // qty_summands[p] / qtx_summands[p] are party p's summands; shapes
+  // must agree across parties.
   Result<ProjectedStats> Run(
       const std::vector<Secret<Vector>>& qty_summands,
       const std::vector<Secret<Matrix>>& qtx_summands);
 
  private:
-  Transport* network_;
+  InProcessMesh* mesh_;
   SecureProjectionOptions options_;
   DealerTripleProvider dealer_;
 };

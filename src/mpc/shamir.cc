@@ -166,32 +166,33 @@ Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
                                int own_index,
                                const std::vector<RingVector>& partials_by_party,
                                const FixedPointCodec& codec) {
-  const int survivors = static_cast<int>(partials_by_party.size());
-  if (own_index < 0 || own_index >= survivors) {
-    return InvalidArgumentError("own_index outside the survivor set");
+  const int num_parties = static_cast<int>(partials_by_party.size());
+  if (own_index < 0 || own_index >= num_parties) {
+    return InvalidArgumentError("own_index outside the party set");
   }
   const RingVector& own = own_partial.wire();
   const size_t len = own.size();
-  std::vector<uint64_t> xs(static_cast<size_t>(survivors));
-  for (int j = 0; j < survivors; ++j) {
-    xs[static_cast<size_t>(j)] = static_cast<uint64_t>(j) + 1;
+  // The present evaluation points: our own, plus every non-empty slot.
+  std::vector<const RingVector*> ys;
+  std::vector<uint64_t> xs;
+  for (int j = 0; j < num_parties; ++j) {
+    const RingVector& y = (j == own_index)
+                              ? own
+                              : partials_by_party[static_cast<size_t>(j)];
+    if (j != own_index && y.empty()) continue;
+    if (y.size() != len) {
+      return InternalError("Shamir sum share length mismatch");
+    }
+    xs.push_back(static_cast<uint64_t>(j) + 1);
+    ys.push_back(&y);
   }
   DASH_ASSIGN_OR_RETURN(std::vector<uint64_t> weights,
                         LagrangeWeightsAtZero(xs));
-  for (int j = 0; j < survivors; ++j) {
-    if (j == own_index) continue;
-    if (partials_by_party[static_cast<size_t>(j)].size() != len) {
-      return InternalError("Shamir sum share length mismatch");
-    }
-  }
   Vector result(len);
   for (size_t e = 0; e < len; ++e) {
     uint64_t acc = 0;
-    for (int j = 0; j < survivors; ++j) {
-      const uint64_t y = (j == own_index)
-                             ? own[e]
-                             : partials_by_party[static_cast<size_t>(j)][e];
-      acc = FieldAdd(acc, FieldMul(weights[static_cast<size_t>(j)], y));
+    for (size_t j = 0; j < ys.size(); ++j) {
+      acc = FieldAdd(acc, FieldMul(weights[j], (*ys[j])[e]));
     }
     const int64_t signed_ring = FieldDecodeSigned(acc);
     result[e] = codec.Decode(static_cast<uint64_t>(signed_ring));

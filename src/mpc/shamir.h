@@ -79,12 +79,13 @@ Result<Masked<RingVector>> AccumulateShamirShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
 
-// Lagrange-reconstructs the total at x = 0 from the survivors'
-// partials and decodes it. partials_by_party has one slot per survivor
-// (evaluation point j+1); the slot at `own_index` is taken from
-// own_partial and may be left empty. Reveal point (round-key
-// phase2-shamir): >= t+1 sum shares interpolate to exactly the
-// aggregate total the protocol reveals.
+// Lagrange-reconstructs the total at x = 0 and decodes it.
+// partials_by_party has one slot per party (evaluation point j+1); the
+// slot at `own_index` is taken from own_partial and may be left empty,
+// and any other empty slot is a party that dropped out. Reveal point
+// (round-key phase2-shamir): >= t+1 sum shares interpolate to exactly
+// the aggregate total the protocol reveals; the caller checks the
+// count.
 Result<Vector> OpenShamirTotal(const Masked<RingVector>& own_partial,
                                int own_index,
                                const std::vector<RingVector>& partials_by_party,

@@ -18,14 +18,8 @@
 // Placement: on its own line, directly above the statement containing
 // the wire call (within a few lines; dash_proto binds an annotation to
 // the next wire call in the same function). One annotation covers
-// exactly one call site.
-//
-// DASH_ROUND_DRAIN marks a late symmetric drain of an earlier round
-// (e.g. the in-process driver consuming redundant copies after the
-// canonical view was computed). Drain sites count toward the model's
-// site census but are exempt from PC003 round-ordering, because a
-// drain legitimately re-touches an earlier round's tag after later
-// rounds have begun.
+// exactly one call site. Every round is implemented once, from one
+// party's view, so each round has one send and one receive site.
 
 #ifndef DASH_NET_ROUND_ANNOTATIONS_H_
 #define DASH_NET_ROUND_ANNOTATIONS_H_
@@ -38,10 +32,5 @@
 #define DASH_ROUND(round_key, tag)                                        \
   static_assert(sizeof(::dash::MessageTag::tag) > 0,                      \
                 "DASH_ROUND tag must name a MessageTag from net/message.h")
-
-#define DASH_ROUND_DRAIN(round_key, tag)                                  \
-  static_assert(sizeof(::dash::MessageTag::tag) > 0,                      \
-                "DASH_ROUND_DRAIN tag must name a MessageTag from "       \
-                "net/message.h")
 
 #endif  // DASH_NET_ROUND_ANNOTATIONS_H_

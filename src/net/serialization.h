@@ -2,8 +2,8 @@
 //
 // All multi-byte values are little-endian; doubles travel as their IEEE-754
 // bit patterns. The writers/readers are deliberately explicit (no
-// reflection) so that the byte counts the Network reports are exactly the
-// bytes a real wire implementation would carry.
+// reflection) so that the byte counts every Transport reports are exactly
+// the bytes a real wire implementation would carry.
 
 #ifndef DASH_NET_SERIALIZATION_H_
 #define DASH_NET_SERIALIZATION_H_

@@ -1,11 +1,15 @@
 // Protocol transcript recording for audit and debugging.
 //
-// Attach a ProtocolTrace to a Network and every message's metadata
+// Attach a ProtocolTrace to a Transport (or to every endpoint of an
+// InProcessMesh) and every message's metadata
 // (sequence, round, endpoints, tag, wire bytes — never payloads) is
 // captured. Deployments use such transcripts to verify after the fact
 // that a protocol run exchanged exactly the message pattern it was
 // supposed to: the privacy argument of the paper is precisely a claim
 // about which bytes flow where.
+//
+// Not synchronized: a trace shared by several senders must be appended
+// to under their common lock, as InProcessMesh endpoints do.
 
 #ifndef DASH_NET_TRACE_H_
 #define DASH_NET_TRACE_H_

@@ -1,7 +1,7 @@
 // Deterministic fault injection for any Transport.
 //
-// FaultInjectingTransport decorates a backend (the in-process simulator
-// or a TcpTransport endpoint) and applies a seeded FaultPlan: a list of
+// FaultInjectingTransport decorates a party-bound backend (an in-process
+// mesh endpoint or a TcpTransport endpoint) and applies a seeded FaultPlan: a list of
 // rules keyed by (round, sender, receiver, nth matching message). The
 // plan is pure data, so the SAME plan handed to every party of a run
 // describes one global fault schedule; because the protocol's send and
@@ -15,17 +15,17 @@
 //   kDrop        sender swallows the message; the receiver's matching
 //                Receive reports DeadlineExceeded (TCP would time out)
 //                without consuming anything.
-//   kDelay       sender sleeps delay_ms before forwarding (skipped on
-//                the in-process backend, where no wall clock exists
-//                between lockstep calls). Outlasting the peer's
-//                receive_timeout_ms turns this into a timeout fault.
+//   kDelay       sender sleeps delay_ms before forwarding. Outlasting
+//                the peer's receive deadline turns this into a timeout
+//                fault (over TCP; the in-process mesh's deadline is a
+//                fixed backstop far beyond any injected delay).
 //   kDuplicate   sender forwards the message twice; the receiver's
 //                matching Receive consumes both copies and delivers
 //                one. The run must stay bit-identical to fault-free.
 //   kReorder     sender holds the message and releases it AFTER the
 //                next message on the same link (reorder-within-tag when
-//                the next send carries the same tag, e.g. pipelined
-//                block rounds). Detected by tag/commit checks.
+//                the next send carries the same tag). Detected by
+//                tag/commit checks.
 //   kCorrupt     sender XORs corrupt_xor into one payload byte; the
 //                receiver's matching Receive consumes the mangled
 //                message and reports DataLoss (modeling the CRC check

@@ -6,394 +6,24 @@
 #include <utility>
 #include <vector>
 
+#include "core/distributed_qr.h"
 #include "core/party_local.h"
 #include "core/scan_checkpoint.h"
-#include "core/scan_pipeline.h"
 #include "core/streaming_stats.h"
 #include "core/suff_stats.h"
 #include "linalg/qr.h"
-#include "linalg/tsqr.h"
-#include "mpc/additive_sharing.h"
-#include "mpc/fixed_point.h"
-#include "mpc/key_exchange.h"
-#include "mpc/masked_aggregation.h"
 #include "mpc/secrecy.h"
-#include "mpc/shamir.h"
+#include "mpc/secure_projection.h"
+#include "mpc/secure_sum.h"
 #include "net/abort.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
 #include "util/logging.h"
-#include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace dash {
 namespace {
-
-// Party-local projection of SecureVectorSum (mpc/secure_sum.cc): performs
-// the sends party `local` makes and the receives addressed to it, in the
-// same per-link order and round structure. The bit-identity argument per
-// mode:
-//  * public     — every party sums the plaintext vectors in ascending
-//                 party order, matching the in-process reduction;
-//  * additive   — Z_2^64 wrapping adds are commutative/associative, so
-//                 receive order cannot change the total;
-//  * masked     — same ring argument after the pairwise masks cancel;
-//  * shamir     — F_(2^61-1) adds are exact; reconstruction weights are
-//                 a deterministic function of the fixed points 1..P.
-//
-// Secrecy discipline (mpc/secrecy.h, DESIGN.md §11): the party's
-// contribution arrives as Secret<Vector> and this class never reads it
-// directly — every buffer handed to the transport is produced by a
-// blessed reveal point (SerializeShareForHolder, MaskAndSerialize,
-// DiffieHellman::PublicValue) except the public-share baseline, whose
-// plaintext broadcast is an explicit DASH_DECLASSIFY.
-class PartySecureVectorSum {
- public:
-  PartySecureVectorSum(Transport* transport, const SecureSumOptions& options)
-      : net_(transport),
-        local_(transport->local_party()),
-        options_(options),
-        codec_(options.frac_bits),
-        rng_([&] {
-          // Party i's randomness is the i-th output of the SplitMix64
-          // chain over the shared seed — the exact seeding the in-process
-          // driver applies to its per-party RNG array. A nonzero
-          // mask_domain (the session id of a multiplexed job) perturbs
-          // the chain's starting point, so concurrent sessions with the
-          // same protocol seed draw DISJOINT randomness and never share
-          // a DH exponent or pairwise mask key; domain 0 preserves the
-          // historical chain bit for bit.
-          uint64_t seed_state = options.seed;
-          if (options.mask_domain != 0) {
-            uint64_t domain_state = options.mask_domain;
-            seed_state ^= SplitMix64(&domain_state);
-          }
-          uint64_t seed = SplitMix64(&seed_state);
-          for (int i = 0; i < transport->local_party(); ++i) {
-            seed = SplitMix64(&seed_state);
-          }
-          return Rng(seed);
-        }()) {}
-
-  Result<Vector> Run(const Secret<Vector>& input) {
-    DASH_RETURN_IF_ERROR(Setup());
-    if (net_->num_parties() == 1) {
-      return DASH_DECLASSIFY(
-          input, "phase2-single: a single party's total IS its own input");
-    }
-    ++round_nonce_;
-    switch (options_.mode) {
-      case AggregationMode::kPublicShare:
-        return RunPublic(input);
-      case AggregationMode::kAdditive:
-        return RunAdditive(input);
-      case AggregationMode::kMasked:
-        return RunMasked(input);
-      case AggregationMode::kShamir:
-        return RunShamir(input);
-    }
-    return InternalError("unknown aggregation mode");
-  }
-
- private:
-  Status Setup() {
-    if (setup_done_) return Status::Ok();
-    const int p = net_->num_parties();
-    if (options_.mode == AggregationMode::kMasked && p > 1) {
-      net_->BeginRound();
-      const Secret<uint64_t> private_key =
-          DiffieHellman::GeneratePrivate(&rng_);
-      ByteWriter w;
-      w.PutU64(DiffieHellman::PublicValue(private_key));
-      DASH_ROUND(phase0b_keyagree, kPublicKey);
-      DASH_RETURN_IF_ERROR(
-          net_->Broadcast(local_, MessageTag::kPublicKey, w.Take()));
-      pairwise_keys_.assign(static_cast<size_t>(p),
-                            Secret<ChaCha20Rng::Key>{});
-      for (int q = 0; q < p; ++q) {
-        if (q == local_) continue;
-        DASH_ROUND(phase0b_keyagree, kPublicKey);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg, net_->Receive(local_, q, MessageTag::kPublicKey));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(uint64_t peer_public, r.GetU64());
-        pairwise_keys_[static_cast<size_t>(q)] = DiffieHellman::DeriveKey(
-            DiffieHellman::SharedSecret(private_key, peer_public));
-      }
-    }
-    setup_done_ = true;
-    return Status::Ok();
-  }
-
-  Result<Vector> RunPublic(const Secret<Vector>& secret_input) {
-    const int p = net_->num_parties();
-    // The public-share baseline deliberately reveals every summand; this
-    // is the protocol's documented insecure mode, not a leak.
-    const Vector input = DASH_DECLASSIFY(
-        secret_input, "phase2-public: baseline broadcasts plaintext summands");
-    net_->BeginRound();
-    ByteWriter w;
-    w.PutDoubleVector(input);
-    DASH_ROUND(phase2_public, kPlainStats);
-    DASH_RETURN_IF_ERROR(
-        net_->Broadcast(local_, MessageTag::kPlainStats, w.Take()));
-    // Sum in ascending party order — float addition is order-sensitive
-    // and the in-process reduction goes 0, 1, ..., P-1.
-    Vector total;
-    for (int q = 0; q < p; ++q) {
-      Vector v;
-      if (q == local_) {
-        v = input;
-      } else {
-        DASH_ROUND(phase2_public, kPlainStats);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg, net_->Receive(local_, q, MessageTag::kPlainStats));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(v, r.GetDoubleVector());
-      }
-      if (q == 0) {
-        total = std::move(v);
-      } else {
-        if (v.size() != total.size()) {
-          return InternalError("public-share length mismatch");
-        }
-        for (size_t e = 0; e < total.size(); ++e) total[e] += v[e];
-      }
-    }
-    return total;
-  }
-
-  Result<Vector> RunAdditive(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          codec_.EncodeSecretVector(input));
-    auto shares = AdditiveShareVector(encoded, p, &rng_);
-    const Secret<RingVector> own =
-        std::move(shares[static_cast<size_t>(local_)]);
-    for (int j = 0; j < p; ++j) {
-      if (j == local_) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_RETURN_IF_ERROR(
-          net_->Send(local_, j, MessageTag::kAdditiveShare,
-                     SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-    }
-
-    net_->BeginRound();
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == local_) continue;
-      DASH_ROUND(phase2_additive_share, kAdditiveShare);
-      DASH_ASSIGN_OR_RETURN(
-          Message msg, net_->Receive(local_, i, MessageTag::kAdditiveShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector share, r.GetU64Vector());
-      received.push_back(std::move(share));
-    }
-    DASH_ASSIGN_OR_RETURN(Masked<RingVector> partial,
-                          AccumulateAdditiveShares(own, received));
-    DASH_ROUND(phase2_additive_reveal, kPartialSum);
-    DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kPartialSum,
-                                         MaskAndSerialize(partial)));
-
-    std::vector<RingVector> peer_partials;
-    peer_partials.reserve(static_cast<size_t>(p - 1));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_additive_reveal, kPartialSum);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kPartialSum));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-      peer_partials.push_back(std::move(peer));
-    }
-    return OpenAdditiveTotal(partial, peer_partials, codec_);
-  }
-
-  Result<Vector> RunMasked(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          codec_.EncodeSecretVector(input));
-    const Masked<RingVector> masked =
-        ApplyPairwiseMasks(local_, encoded, pairwise_keys_, round_nonce_);
-    DASH_ROUND(phase2_masked, kMaskedValue);
-    DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kMaskedValue,
-                                         MaskAndSerialize(masked)));
-
-    std::vector<RingVector> peers;
-    peers.reserve(static_cast<size_t>(p - 1));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_masked, kMaskedValue);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kMaskedValue));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-      peers.push_back(std::move(peer));
-    }
-    return OpenMaskedTotal(masked, peers, codec_);
-  }
-
-  Result<Vector> RunShamir(const Secret<Vector>& input) {
-    const int p = net_->num_parties();
-    if (options_.simulate_shamir_dropouts != 0) {
-      return UnimplementedError(
-          "Shamir dropout simulation is an in-process experiment; real "
-          "dropouts surface as transport errors");
-    }
-    const int threshold = (options_.shamir_threshold >= 0)
-                              ? options_.shamir_threshold
-                              : (p - 1) / 2;
-    if (threshold >= p) {
-      return InvalidArgumentError("Shamir threshold must be < num parties");
-    }
-    // Field-encodes AND validates headroom — deliberately before
-    // BeginRound so validation failures precede any traffic.
-    DASH_ASSIGN_OR_RETURN(Secret<RingVector> encoded,
-                          ShamirFieldEncode(codec_, input, p));
-
-    // Phase 1: distribute shares of our input; keep our own.
-    net_->BeginRound();
-    DASH_ASSIGN_OR_RETURN(
-        auto shares, ShamirShareVectorForParties(encoded, p, threshold, &rng_));
-    const Secret<RingVector> own =
-        std::move(shares[static_cast<size_t>(local_)]);
-    for (int j = 0; j < p; ++j) {
-      if (j == local_) continue;
-      DASH_ROUND(phase2_shamir_share, kShamirShare);
-      DASH_RETURN_IF_ERROR(
-          net_->Send(local_, j, MessageTag::kShamirShare,
-                     SerializeShareForHolder(shares[static_cast<size_t>(j)])));
-    }
-
-    // Phase 2: sum the shares we hold; exchange sum shares.
-    net_->BeginRound();
-    std::vector<RingVector> received;
-    received.reserve(static_cast<size_t>(p - 1));
-    for (int i = 0; i < p; ++i) {
-      if (i == local_) continue;
-      DASH_ROUND(phase2_shamir_share, kShamirShare);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, i, MessageTag::kShamirShare));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(RingVector ys, r.GetU64Vector());
-      received.push_back(std::move(ys));
-    }
-    DASH_ASSIGN_OR_RETURN(Masked<RingVector> held,
-                          AccumulateShamirShares(own, received));
-    {
-      const std::vector<uint8_t> payload = MaskAndSerialize(held);
-      for (int to = 0; to < p; ++to) {
-        if (to == local_) continue;
-        DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-        DASH_RETURN_IF_ERROR(
-            net_->Send(local_, to, MessageTag::kPartialSum, payload));
-      }
-    }
-
-    // Phase 3: reconstruct at x = 0 from all P sum shares (our own slot
-    // comes from `held`; the vector's local slot stays empty).
-    std::vector<RingVector> sum_shares(static_cast<size_t>(p));
-    for (int q = 0; q < p; ++q) {
-      if (q == local_) continue;
-      DASH_ROUND(phase2_shamir_reveal, kPartialSum);
-      DASH_ASSIGN_OR_RETURN(Message msg,
-                            net_->Receive(local_, q, MessageTag::kPartialSum));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(sum_shares[static_cast<size_t>(q)],
-                            r.GetU64Vector());
-    }
-    return OpenShamirTotal(held, local_, sum_shares, codec_);
-  }
-
-  Transport* net_;
-  int local_;
-  SecureSumOptions options_;
-  FixedPointCodec codec_;
-  Rng rng_;
-  // [q] = mask key shared with party q; secret material (mpc/secrecy.h).
-  std::vector<Secret<ChaCha20Rng::Key>> pairwise_keys_;
-  uint64_t round_nonce_ = 0;
-  bool setup_done_ = false;
-};
-
-// Party-local projection of CombineRFactorsOverNetwork (broadcast-stack
-// mode): every party ends up factoring the identical stack.
-Result<Matrix> CombineBroadcastStack(Transport* net, int local,
-                                     const Matrix& own_r) {
-  const int p = net->num_parties();
-  net->BeginRound();
-  ByteWriter w;
-  w.PutMatrix(own_r);
-  DASH_ROUND(phase1_rfactor, kRFactor);
-  DASH_RETURN_IF_ERROR(net->Broadcast(local, MessageTag::kRFactor, w.Take()));
-  std::vector<Matrix> stack(static_cast<size_t>(p));
-  stack[static_cast<size_t>(local)] = own_r;
-  for (int q = 0; q < p; ++q) {
-    if (q == local) continue;
-    DASH_ROUND(phase1_rfactor, kRFactor);
-    DASH_ASSIGN_OR_RETURN(Message msg,
-                          net->Receive(local, q, MessageTag::kRFactor));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(stack[static_cast<size_t>(q)], r.GetMatrix());
-  }
-  return CombineRFactors(stack);
-}
-
-// Party-local projection of the binary tree: the merge schedule is a
-// deterministic function of (P, stride), so each party can replay the
-// full activity pattern locally and only perform its own sends/receives.
-Result<Matrix> CombineBinaryTree(Transport* net, int local,
-                                 const Matrix& own_r) {
-  const int p = net->num_parties();
-  Matrix current = own_r;
-  std::vector<bool> active(static_cast<size_t>(p), true);
-  for (int stride = 1; stride < p; stride *= 2) {
-    net->BeginRound();
-    if (active[static_cast<size_t>(local)] && (local / stride) % 2 == 1 &&
-        local - stride >= 0) {
-      ByteWriter w;
-      w.PutMatrix(current);
-      DASH_ROUND(phase1_tree_merge, kTreeR);
-      DASH_RETURN_IF_ERROR(
-          net->Send(local, local - stride, MessageTag::kTreeR, w.Take()));
-    } else if (active[static_cast<size_t>(local)] && local + stride < p &&
-               active[static_cast<size_t>(local + stride)]) {
-      DASH_ROUND(phase1_tree_merge, kTreeR);
-      DASH_ASSIGN_OR_RETURN(
-          Message msg, net->Receive(local, local + stride, MessageTag::kTreeR));
-      ByteReader r(msg.payload);
-      DASH_ASSIGN_OR_RETURN(Matrix peer, r.GetMatrix());
-      DASH_ASSIGN_OR_RETURN(current, QrRFactor(VStack({current, peer})));
-    }
-    // Replay the round's deactivations for every party.
-    for (int i = 0; i < p; ++i) {
-      if (active[static_cast<size_t>(i)] && (i / stride) % 2 == 1 &&
-          i - stride >= 0) {
-        active[static_cast<size_t>(i)] = false;
-      }
-    }
-  }
-  // Party 0 broadcasts the pooled R.
-  net->BeginRound();
-  if (local == 0) {
-    ByteWriter w;
-    w.PutMatrix(current);
-    DASH_ROUND(phase1_tree_root, kRFactor);
-    DASH_RETURN_IF_ERROR(net->Broadcast(0, MessageTag::kRFactor, w.Take()));
-    return current;
-  }
-  DASH_ROUND(phase1_tree_root, kRFactor);
-  DASH_ASSIGN_OR_RETURN(Message msg,
-                        net->Receive(local, 0, MessageTag::kRFactor));
-  ByteReader r(msg.payload);
-  return r.GetMatrix();
-}
 
 // Local-only digest of everything Phase 1 depends on: the party's
 // (preprocessed) covariate slab, its sample count, and the Phase-1
@@ -429,17 +59,23 @@ uint64_t Phase1Fingerprint(const PartyData& party, int64_t absorbed_params,
 
 // The protocol proper; RunPartySecureScan wraps it with the abort
 // notification and round tagging. `stream` non-null switches Phase 2 to
-// the out-of-core path (X from a PanelSource, checkpoint/resume).
+// the out-of-core path (X from a PanelSource, checkpoint/resume);
+// `beaver_triples` non-null carries this party's dealt triple shares for
+// the Beaver projection.
 Result<SecureScanOutput> RunPartyScanProtocol(
     Transport* transport, const PartyData& input_party,
     const SecureScanOptions& options, Phase1State* phase1,
-    const StreamingPartyScan* stream) {
+    const StreamingPartyScan* stream,
+    const std::vector<Secret<BeaverTripleShare>>* beaver_triples) {
   const int local = transport->local_party();
   const int num_parties = transport->num_parties();
-  if (options.projection == ProjectionSecurity::kBeaverDotProducts) {
+  const bool beaver =
+      options.projection == ProjectionSecurity::kBeaverDotProducts;
+  if (beaver && beaver_triples == nullptr) {
     return UnimplementedError(
-        "Beaver-triple projection is not wired for party-bound transports "
-        "yet; use ProjectionSecurity::kRevealProjectedSums");
+        "the Beaver-triple projection needs a trusted triple dealer, which "
+        "only the in-process simulator provides; use "
+        "ProjectionSecurity::kRevealProjectedSums");
   }
   if (stream != nullptr) {
     if (stream->source == nullptr) {
@@ -450,10 +86,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
           "streamed scan: center_per_party mutates X, which is immutable "
           "on disk — center before packing (dash_pack)");
     }
-    if (options.pipeline_block_variants > 0) {
+    if (beaver) {
       return InvalidArgumentError(
-          "streamed scan: pipeline_block_variants also restructures "
-          "Phase 2; pick one of streaming or block pipelining");
+          "streamed scan: the Beaver projection needs the structured "
+          "summands; stream with kRevealProjectedSums");
     }
     if (stream->source->num_samples() != input_party.num_samples()) {
       return InvalidArgumentError(
@@ -466,9 +102,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   DASH_RETURN_IF_ERROR(ValidateParties({input_party}));
   if (options.trace != nullptr) transport->AttachTrace(options.trace);
 
-  // Per-party preprocessing: centering is a within-party operation, so
-  // the single-element call reproduces the in-process preprocessing of
-  // this slice exactly.
+  // Per-party preprocessing: centering is a within-party operation.
   const PartyData* party = &input_party;
   std::vector<PartyData> centered;
   int64_t absorbed_params = 0;
@@ -493,6 +127,11 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   const int64_t m =
       stream != nullptr ? stream->source->num_variants() : party->x.cols();
   const int64_t k = party->c.cols();
+  if (beaver &&
+      static_cast<int64_t>(beaver_triples->size()) !=
+          (k > 0 ? ProjectionTripleCount(k, m) : 0)) {
+    return InvalidArgumentError("Beaver triple count does not match K, M");
+  }
   Stopwatch protocol_timer;
   Stopwatch local_timer;
   double local_seconds = 0.0;
@@ -544,81 +183,28 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   }
 
   int64_t total_samples = 0;
-  Matrix r_inverse(0, 0);
   Matrix q_p(0, 0);
   if (cache_hit) {
-    // Stages 0–3 replaced by the cache: N and R⁻¹ are public protocol
-    // reveals, and Q_p is this party's own private material coming back
-    // from its own cache — the declassified bytes feed the same local
-    // statistics kernel the fresh path feeds and never reach the wire.
+    // Phases 0–1 replaced by the cache: N is a public protocol reveal,
+    // and Q_p is this party's own private material coming back from its
+    // own cache — the declassified bytes feed the same local statistics
+    // kernel the fresh path feeds and never reach the wire.
     total_samples = phase1->total_samples;
-    r_inverse = phase1->r_inverse;
     q_p = DASH_DECLASSIFY(
         phase1->q_p,
         "phase1-cache: this party's own cached Q_p rows, reused in-process");
   } else {
-    // Stage 0 (network): exchange the public per-party sample counts.
     protocol_timer.Reset();
-    if (num_parties > 1) {
-      transport->BeginRound();
-      ByteWriter w;
-      w.PutI64(party->num_samples());
-      DASH_ROUND(phase0_samplecount, kSampleCount);
-      DASH_RETURN_IF_ERROR(
-          transport->Broadcast(local, MessageTag::kSampleCount, w.Take()));
-      for (int q = 0; q < num_parties; ++q) {
-        if (q == local) {
-          total_samples += party->num_samples();
-          continue;
-        }
-        DASH_ROUND(phase0_samplecount, kSampleCount);
-        DASH_ASSIGN_OR_RETURN(
-            Message msg,
-            transport->Receive(local, q, MessageTag::kSampleCount));
-        ByteReader r(msg.payload);
-        DASH_ASSIGN_OR_RETURN(int64_t n_q, r.GetI64());
-        total_samples += n_q;
-      }
-    } else {
-      total_samples = party->num_samples();
-    }
+    DASH_ASSIGN_OR_RETURN(PartyBasis basis,
+                          RunPartyPhase1(transport, party->c,
+                                         options.r_combine));
     protocol_seconds += protocol_timer.ElapsedSeconds();
-
-    // Stage 1 (local): our K x K R factor.
-    local_timer.Reset();
-    Matrix local_r(0, 0);
-    if (k > 0) {
-      DASH_ASSIGN_OR_RETURN(local_r, PartyLocalRFactor(*party));
-    }
-    local_seconds += local_timer.ElapsedSeconds();
-
-    // Stage 2 (network): combine R factors; we learn R⁻¹.
-    protocol_timer.Reset();
-    if (k > 0) {
-      Matrix r(0, 0);
-      if (num_parties == 1) {
-        r = local_r;
-      } else if (options.r_combine == RCombineMode::kBroadcastStack) {
-        DASH_ASSIGN_OR_RETURN(r,
-                              CombineBroadcastStack(transport, local, local_r));
-      } else {
-        DASH_ASSIGN_OR_RETURN(r, CombineBinaryTree(transport, local, local_r));
-      }
-      DASH_ASSIGN_OR_RETURN(r_inverse, InvertUpperTriangular(r));
-    }
-    protocol_seconds += protocol_timer.ElapsedSeconds();
-
-    // Stage 3 (local): our Q_p rows.
-    local_timer.Reset();
-    q_p = (k > 0) ? PartyLocalQ(*party, r_inverse)
-                  : Matrix(party->num_samples(), 0);
-    local_seconds += local_timer.ElapsedSeconds();
-
+    total_samples = basis.total_samples;
+    q_p = std::move(basis.q_p);
     if (phase1 != nullptr) {
       phase1->valid = true;
       phase1->local_fingerprint = fingerprint;
       phase1->total_samples = total_samples;
-      phase1->r_inverse = r_inverse;
       phase1->q_p = Secret<Matrix>(q_p);
     }
   }
@@ -634,112 +220,94 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   sum_options.mask_domain = transport->session_id();
   PartySecureVectorSum secure_sum(transport, sum_options);
 
-  Vector flat_totals;
+  ScanResult result;
   int64_t resumed_from_panel = 0;
   int64_t panels_streamed = 0;
   int64_t checkpoints_written = 0;
-  if (stream != nullptr) {
-    // Stage 3 (local, out-of-core): stream X's panels into the
-    // wire-order summand, checkpointing as configured. Bit-identical to
-    // the in-memory arena below (core/streaming_stats.h).
+  if (beaver) {
+    // Beaver variant: the orthogonal statistics (y.y, X.y, X.X) are
+    // summed as usual, but the projected K-vectors never leave the party
+    // — only their dot products are opened.
     local_timer.Reset();
-    StreamingStatsOptions stream_opts;
-    stream_opts.checkpoint_path = stream->checkpoint_path;
-    stream_opts.checkpoint_every_panels = stream->checkpoint_every_panels;
-    stream_opts.fail_after_panels = stream->fail_after_panels;
-    stream_opts.panel_delay_ms = stream->panel_delay_ms;
-    stream_opts.prefetch = stream->prefetch;
-    stream_opts.pool = pool.get();
+    ScanSufficientStats stats = PartyLocalStats(*party, q_p, pool.get());
+    Vector plain;
+    plain.reserve(static_cast<size_t>(1 + 2 * m));
+    plain.push_back(stats.yy);
+    plain.insert(plain.end(), stats.xy.begin(), stats.xy.end());
+    plain.insert(plain.end(), stats.xx.begin(), stats.xx.end());
+    local_seconds += local_timer.ElapsedSeconds();
+
+    protocol_timer.Reset();
+    DASH_ASSIGN_OR_RETURN(Vector plain_totals,
+                          secure_sum.Run(Secret<Vector>(std::move(plain))));
     DASH_ASSIGN_OR_RETURN(
-        StreamingStatsResult streamed,
-        ComputeLocalStatsStreamed(stream->source, party->y, q_p, stream_opts));
-    local_seconds += local_timer.ElapsedSeconds();
-    resumed_from_panel = streamed.resumed_from_panel;
-    panels_streamed = streamed.panels_streamed;
-    checkpoints_written = streamed.checkpoints_written;
-    if (resumed_from_panel > 0) {
-      DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
-                     << "panel " << resumed_from_panel << "/"
-                     << stream->source->num_panels();
-    }
-
-    // Stage 4 (network): one secure-sum aggregation of everything.
-    protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(flat_totals,
-                          secure_sum.Run(Secret<Vector>(streamed.flat)));
+        ProjectedStats projected,
+        PartySecureProjection(transport, Secret<Vector>(std::move(stats.qty)),
+                              Secret<Matrix>(std::move(stats.qtx)),
+                              *beaver_triples, options.projection_frac_bits));
     protocol_seconds += protocol_timer.ElapsedSeconds();
-  } else if (options.pipeline_block_variants > 0) {
-    // Stage 3+4 (pipelined): the round schedule of core/scan_pipeline.h,
-    // identical to the in-process driver's — header round, then one
-    // round per variant block, with block b+1 computed while block b's
-    // aggregate is in flight on the transport.
-    const PipelinePlan plan{m, k, options.pipeline_block_variants};
-    const int64_t num_blocks = plan.num_blocks();
 
     local_timer.Reset();
-    Vector header;
-    header.reserve(static_cast<size_t>(plan.header_len()));
-    header.push_back(SquaredNorm(party->y));
-    const Vector qty = TransposeMatVec(q_p, party->y);
-    header.insert(header.end(), qty.begin(), qty.end());
+    ProjectedSufficientStats totals;
+    totals.num_samples = total_samples - absorbed_params;
+    totals.num_covariates = k;
+    totals.yy = plain_totals[0];
+    totals.xy.assign(plain_totals.begin() + 1, plain_totals.begin() + 1 + m);
+    totals.xx.assign(plain_totals.begin() + 1 + m,
+                     plain_totals.begin() + 1 + 2 * m);
+    totals.qty_qty = projected.qty_qty;
+    totals.qtx_qty = std::move(projected.qtx_qty);
+    totals.qtx_qtx = std::move(projected.qtx_qtx);
+    DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
     local_seconds += local_timer.ElapsedSeconds();
-
-    protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(Vector header_totals,
-                          secure_sum.Run(Secret<Vector>(header)));
-    flat_totals.assign(static_cast<size_t>(StatsWireLayout{m, k}.total_len()),
-                       0.0);
-    ScatterHeaderTotals(header_totals, plan, &flat_totals);
-
-    Vector cur;
-    Vector next;
-    const auto compute_block = [&](int64_t b, Vector* buf) {
-      const int64_t w = plan.width(b);
-      buf->assign(static_cast<size_t>(plan.block_len(b)), 0.0);
-      ComputeStatsColumns(party->x, party->y, q_p, plan.begin(b), plan.end(b),
-                          PipelineBlockView(buf->data(), w), /*pool=*/nullptr);
-    };
-    if (num_blocks > 0) compute_block(0, &cur);
-    for (int64_t b = 0; b < num_blocks; ++b) {
-      const bool has_next = b + 1 < num_blocks;
-      if (has_next) {
-        if (pool != nullptr) {
-          pool->Schedule(
-              [&compute_block, &next, b] { compute_block(b + 1, &next); });
-        } else {
-          compute_block(b + 1, &next);
-        }
-      }
-      Result<Vector> block_totals = secure_sum.Run(Secret<Vector>(cur));
-      // Join the in-flight compute before any early return can tear down
-      // the buffer it writes.
-      if (has_next && pool != nullptr) pool->Wait();
-      if (!block_totals.ok()) return block_totals.status();
-      ScatterBlockTotals(block_totals.value(), plan, b, &flat_totals);
-      cur.swap(next);
-    }
-    protocol_seconds += protocol_timer.ElapsedSeconds();
   } else {
-    // Stage 3 (local): our summand, computed directly into a wire-order
-    // arena (zero-copy flatten).
+    Vector flat;
     local_timer.Reset();
-    const Vector flat = PartyLocalStatsFlat(*party, q_p, pool.get());
+    if (stream != nullptr) {
+      // Stage 3 (local, out-of-core): stream X's panels into the
+      // wire-order summand, checkpointing as configured. Bit-identical
+      // to the in-memory arena (core/streaming_stats.h).
+      StreamingStatsOptions stream_opts;
+      stream_opts.checkpoint_path = stream->checkpoint_path;
+      stream_opts.checkpoint_every_panels = stream->checkpoint_every_panels;
+      stream_opts.fail_after_panels = stream->fail_after_panels;
+      stream_opts.panel_delay_ms = stream->panel_delay_ms;
+      stream_opts.prefetch = stream->prefetch;
+      stream_opts.pool = pool.get();
+      DASH_ASSIGN_OR_RETURN(StreamingStatsResult streamed,
+                            ComputeLocalStatsStreamed(stream->source, party->y,
+                                                      q_p, stream_opts));
+      resumed_from_panel = streamed.resumed_from_panel;
+      panels_streamed = streamed.panels_streamed;
+      checkpoints_written = streamed.checkpoints_written;
+      if (resumed_from_panel > 0) {
+        DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
+                       << "panel " << resumed_from_panel << "/"
+                       << stream->source->num_panels();
+      }
+      flat = std::move(streamed.flat);
+    } else {
+      // Stage 3 (local): our summand, computed directly into a
+      // wire-order arena (zero-copy flatten).
+      flat = PartyLocalStatsFlat(*party, q_p, pool.get());
+    }
     local_seconds += local_timer.ElapsedSeconds();
 
     // Stage 4 (network): one secure-sum aggregation of everything.
     protocol_timer.Reset();
-    DASH_ASSIGN_OR_RETURN(flat_totals, secure_sum.Run(Secret<Vector>(flat)));
+    DASH_ASSIGN_OR_RETURN(Vector flat_totals,
+                          secure_sum.Run(Secret<Vector>(std::move(flat))));
     protocol_seconds += protocol_timer.ElapsedSeconds();
-  }
 
-  // Stage 5 (local, public): Lemma 2.1 finalization.
-  local_timer.Reset();
-  DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
-                        UnflattenStats(flat_totals, m, k));
-  totals.num_samples = total_samples;
-  DASH_ASSIGN_OR_RETURN(ScanResult result,
-                        FinalizeScanWithAbsorbedParams(totals, absorbed_params));
-  local_seconds += local_timer.ElapsedSeconds();
+    // Stage 5 (local, public): Lemma 2.1 finalization.
+    local_timer.Reset();
+    DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
+                          UnflattenStats(flat_totals, m, k));
+    totals.num_samples = total_samples;
+    DASH_ASSIGN_OR_RETURN(
+        result, FinalizeScanWithAbsorbedParams(totals, absorbed_params));
+    local_seconds += local_timer.ElapsedSeconds();
+  }
 
   // Commit round: broadcast the checksum of the result we are about to
   // reveal and require every peer's to match. This is the last line of
@@ -806,17 +374,12 @@ Result<SecureScanOutput> RunPartyScanProtocol(
 Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
     Transport* transport, const PartyData& input_party,
     const SecureScanOptions& options, Phase1State* phase1,
-    const StreamingPartyScan* stream) {
+    const StreamingPartyScan* stream,
+    const std::vector<Secret<BeaverTripleShare>>* beaver_triples) {
   DASH_CHECK(transport != nullptr);
   const int local = transport->local_party();
-  if (local < 0) {
-    return InvalidArgumentError(
-        "RunPartySecureScan needs a party-bound transport "
-        "(local_party() >= 0); in-process simulations go through "
-        "SecureAssociationScan::Run");
-  }
-  Result<SecureScanOutput> out =
-      RunPartyScanProtocol(transport, input_party, options, phase1, stream);
+  Result<SecureScanOutput> out = RunPartyScanProtocol(
+      transport, input_party, options, phase1, stream, beaver_triples);
   if (out.ok()) return out;
   const Status cause = out.status();
   const int round = transport->metrics().rounds();
@@ -850,12 +413,56 @@ Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
 
 }  // namespace
 
+Result<int64_t> PartyPooledSampleCount(Transport* transport,
+                                       int64_t local_samples) {
+  const int local = transport->local_party();
+  const int num_parties = transport->num_parties();
+  if (num_parties == 1) return local_samples;
+  transport->BeginRound();
+  ByteWriter w;
+  w.PutI64(local_samples);
+  DASH_ROUND(phase0_samplecount, kSampleCount);
+  DASH_RETURN_IF_ERROR(
+      transport->Broadcast(local, MessageTag::kSampleCount, w.Take()));
+  int64_t total = 0;
+  for (int q = 0; q < num_parties; ++q) {
+    if (q == local) {
+      total += local_samples;
+      continue;
+    }
+    DASH_ROUND(phase0_samplecount, kSampleCount);
+    DASH_ASSIGN_OR_RETURN(
+        Message msg, transport->Receive(local, q, MessageTag::kSampleCount));
+    ByteReader r(msg.payload);
+    DASH_ASSIGN_OR_RETURN(int64_t n_q, r.GetI64());
+    total += n_q;
+  }
+  return total;
+}
+
+Result<PartyBasis> RunPartyPhase1(Transport* transport, const Matrix& c,
+                                  RCombineMode mode) {
+  PartyBasis basis;
+  DASH_ASSIGN_OR_RETURN(basis.total_samples,
+                        PartyPooledSampleCount(transport, c.rows()));
+  if (c.cols() == 0) {
+    basis.q_p = Matrix(c.rows(), 0);
+    return basis;
+  }
+  DASH_ASSIGN_OR_RETURN(Matrix local_r, QrRFactor(c));
+  DASH_ASSIGN_OR_RETURN(Matrix r, PartyCombineRFactors(transport, local_r, mode));
+  DASH_ASSIGN_OR_RETURN(Matrix r_inverse, InvertUpperTriangular(r));
+  basis.q_p = MatMul(c, r_inverse);
+  return basis;
+}
+
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& input_party,
                                             const SecureScanOptions& options) {
   return RunPartyScanWithAbortPropagation(transport, input_party, options,
                                           /*phase1=*/nullptr,
-                                          /*stream=*/nullptr);
+                                          /*stream=*/nullptr,
+                                          /*beaver_triples=*/nullptr);
 }
 
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
@@ -863,7 +470,17 @@ Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const SecureScanOptions& options,
                                             Phase1State* phase1) {
   return RunPartyScanWithAbortPropagation(transport, input_party, options,
-                                          phase1, /*stream=*/nullptr);
+                                          phase1, /*stream=*/nullptr,
+                                          /*beaver_triples=*/nullptr);
+}
+
+Result<SecureScanOutput> RunPartySecureScan(
+    Transport* transport, const PartyData& input_party,
+    const SecureScanOptions& options,
+    const std::vector<Secret<BeaverTripleShare>>& beaver_triples) {
+  return RunPartyScanWithAbortPropagation(transport, input_party, options,
+                                          /*phase1=*/nullptr,
+                                          /*stream=*/nullptr, &beaver_triples);
 }
 
 Result<SecureScanOutput> RunPartySecureScanStreamed(
@@ -877,7 +494,7 @@ Result<SecureScanOutput> RunPartySecureScanStreamed(
   party.y = y;
   party.c = c;
   return RunPartyScanWithAbortPropagation(transport, party, options, phase1,
-                                          &stream);
+                                          &stream, /*beaver_triples=*/nullptr);
 }
 
 }  // namespace dash

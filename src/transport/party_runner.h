@@ -1,29 +1,29 @@
-// One party's end of the secure association scan, for party-bound
-// transports (one OS process per party, e.g. TcpTransport).
+// One party's end of the secure association scan — the scan's only
+// implementation.
 //
-// SecureAssociationScan::Run drives ALL parties in one address space,
-// which is ideal for simulation but impossible over a real network.
-// RunPartySecureScan is the per-party projection of exactly the same
-// protocol: it performs the sends party `transport->local_party()` would
-// perform and consumes the messages addressed to it, in the same
-// per-link order, with the same round structure, so
+// RunPartySecureScan performs the sends party `transport->local_party()`
+// makes and consumes the messages addressed to it, round by round. A
+// deployment runs it once per process over a TcpTransport (dash_party)
+// or a SessionChannel (dash_partyd); the in-process simulator
+// (SecureAssociationScan::Run) runs it on P threads over the endpoints
+// of an InProcessMesh (transport/inprocess_mesh.h). Every backend
+// therefore reveals the same ScanResult bit for bit (ring/field sums
+// are order-independent; the public mode and all plaintext reductions
+// fix party-index summation order; doubles travel as exact IEEE-754
+// bit patterns) and exchanges the same per-link traffic.
 //
-//   * the revealed ScanResult matches the in-process scan bit for bit
-//     (ring/field sums are order-independent; the public mode and all
-//     plaintext reductions fix party-index summation order; doubles
-//     travel as exact IEEE-754 bit patterns), and
-//   * the union of the parties' per-link traffic equals the in-process
-//     trace as a multiset of (round, from, to, tag, bytes).
+// Protocol randomness is derived from the shared options.seed: party i
+// draws its share/mask/DH randomness from the i-th output of the
+// SplitMix64 seed chain (mpc/secure_sum.h), so two deployments with
+// equal seeds exchange identical ciphertexts.
 //
-// Protocol randomness is replicated from the shared options.seed: party
-// i draws its share/mask/DH randomness from the i-th output of the
-// SplitMix64 seed chain, exactly as the in-process driver seeds its
-// per-party RNGs — so two deployments with equal seeds exchange
-// identical ciphertexts.
+// Failures: a party that fails mid-protocol best-effort broadcasts a
+// kAbort carrying its status, so every peer fails with the originator's
+// code (PROTOCOL.md "Failure modes").
 //
-// Not supported per-party (returns Unimplemented):
-// ProjectionSecurity::kBeaverDotProducts and Shamir dropout simulation,
-// both of which only exist for in-process experiments.
+// ProjectionSecurity::kBeaverDotProducts needs dealt Beaver triples,
+// which only the simulator can provide (the overload taking
+// beaver_triples); without them it returns Unimplemented.
 
 #ifndef DASH_TRANSPORT_PARTY_RUNNER_H_
 #define DASH_TRANSPORT_PARTY_RUNNER_H_
@@ -31,10 +31,12 @@
 #include <cstdint>
 #include <string>
 
+#include "core/distributed_qr.h"
 #include "core/secure_scan.h"
 #include "data/panel_stream.h"
 #include "data/party_split.h"
 #include "linalg/matrix.h"
+#include "mpc/beaver.h"
 #include "mpc/secrecy.h"
 #include "transport/transport.h"
 
@@ -51,8 +53,8 @@ namespace dash {
 // cached copy stays Secret<Matrix>; RunPartySecureScan reads it back
 // through an audited DASH_DECLASSIFY (round key `phase1-cache` in
 // tools/secrecy_allowlist.txt) that never moves the bytes off-process.
-// R⁻¹ and the pooled sample count are public by protocol (phase0 /
-// phase1 reveals), so they are stored plain.
+// The pooled sample count is public by protocol (phase0 reveal), so it
+// is stored plain.
 //
 // Invalidation is the caller's job: any change to the cohort's rows or
 // covariates MUST either be reflected in the data (the fingerprint then
@@ -67,14 +69,12 @@ struct Phase1State {
   // party_runner.cc.
   uint64_t local_fingerprint = 0;
   int64_t total_samples = 0;   // pooled N (public, phase0 reveal)
-  Matrix r_inverse;            // pooled R⁻¹ (public, phase1 reveal)
   Secret<Matrix> q_p;          // this party's Q_p rows (private)
 };
 
-// Runs the scan as party transport->local_party() (which must be >= 0,
-// i.e. a party-bound transport) holding rows `party`. Blocks until the
-// protocol completes; every party returns the identical revealed result.
-// Metrics cover this party's sends only.
+// Runs the scan as party transport->local_party() holding rows `party`.
+// Blocks until the protocol completes; every party returns the identical
+// revealed result. Metrics cover this party's sends only.
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options);
@@ -90,6 +90,31 @@ Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options,
                                             Phase1State* phase1);
+
+// Simulator variant for ProjectionSecurity::kBeaverDotProducts:
+// `beaver_triples` are this party's shares of the
+// ProjectionTripleCount(K, M) triples a dealer handed out
+// (mpc/secure_projection.h).
+Result<SecureScanOutput> RunPartySecureScan(
+    Transport* transport, const PartyData& party,
+    const SecureScanOptions& options,
+    const std::vector<Secret<BeaverTripleShare>>& beaver_triples);
+
+// Phase 0 for one party: broadcasts its public sample count and returns
+// the pooled N (no traffic when P = 1).
+Result<int64_t> PartyPooledSampleCount(Transport* transport,
+                                       int64_t local_samples);
+
+// Phases 0–1 for one party holding the permanent covariates `c` of its
+// rows: the pooled N (a public protocol reveal) and this party's private
+// rows Q_p = C_p R⁻¹ of the pooled basis. The scan and the §5 workloads
+// (grouped, multi-phenotype) share it.
+struct PartyBasis {
+  int64_t total_samples = 0;
+  Matrix q_p;  // N_p x K
+};
+Result<PartyBasis> RunPartyPhase1(Transport* transport, const Matrix& c,
+                                  RCombineMode mode);
 
 // Out-of-core scan configuration for RunPartySecureScanStreamed: this
 // party's genotype block streams from `source` one panel at a time
@@ -116,8 +141,7 @@ struct StreamingPartyScan {
 // covariates C stay RAM-resident (they are all Phases 0–1 need), X
 // streams from stream.source during Phase 2. Incompatible with
 // center_per_party (X is immutable on disk — pre-center before
-// packing) and with pipeline_block_variants (both restructure Phase
-// 2). On success the checkpoint file, if any, is removed; on failure
+// packing) and with the Beaver projection. On success the checkpoint file, if any, is removed; on failure
 // it is left behind so the next run resumes.
 Result<SecureScanOutput> RunPartySecureScanStreamed(
     Transport* transport, const Vector& y, const Matrix& c,

@@ -28,6 +28,18 @@ void TrafficMetrics::Reset() {
   for (auto& b : link_bytes_) b.store(0, std::memory_order_relaxed);
 }
 
+void TrafficMetrics::MergeFrom(const TrafficMetrics& other) {
+  DASH_CHECK_EQ(other.num_parties_, num_parties_);
+  total_bytes_.fetch_add(other.total_bytes(), std::memory_order_relaxed);
+  total_messages_.fetch_add(other.total_messages(), std::memory_order_relaxed);
+  rounds_.store(std::max(rounds(), other.rounds()), std::memory_order_relaxed);
+  for (size_t i = 0; i < link_bytes_.size(); ++i) {
+    link_bytes_[i].fetch_add(
+        other.link_bytes_[i].load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+}
+
 int64_t TrafficMetrics::LinkBytes(int from, int to) const {
   DASH_CHECK(0 <= from && from < num_parties_);
   DASH_CHECK(0 <= to && to < num_parties_);

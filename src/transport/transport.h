@@ -1,28 +1,30 @@
 // Abstract message transport between P parties.
 //
 // Transport is the seam between the protocol layer and the bytes-moving
-// layer. Protocol code (distributed QR, secure sums, the secure scan
-// drivers) talks only to this interface, so the same protocol runs
-// unchanged over
+// layer. A Transport is ONE party's endpoint (local_party()); protocol
+// code (distributed QR, secure sums, the secure scan runner) is written
+// once against that one-party view and runs unchanged over
 //
-//  * the in-process simulated network (net/network.h, the historical
-//    `Network`, now one Transport implementation) — all P parties live
-//    in one process and one thread; and
+//  * an in-process mesh (transport/inprocess_mesh.h) — the simulator:
+//    P endpoints in one process, each driven by its own thread; and
 //  * a real TCP mesh (transport/tcp_transport.h) — this process is ONE
-//    party and every Send/Receive crosses a socket.
+//    party and every Send/Receive crosses a socket (optionally
+//    multiplexed into sessions, transport/session_mux.h).
 //
 // Accounting is part of the interface contract: every message is counted
 // once, BY ITS SENDER, with Message::WireSize() bytes (payload + the
-// 16-byte logical header). Both backends therefore report identical
-// TrafficMetrics and ProtocolTrace entries for the same protocol run,
-// which is what keeps the paper's O(M) communication claim verifiable on
-// real wire bytes (a TCP party's metrics are its outgoing half of the
-// global picture; union over parties == the in-process view).
+// 16-byte logical header). An endpoint's metrics are its outgoing half
+// of the global picture; the union over parties is the whole run's
+// ledger (InProcessMesh::metrics() computes exactly that), which is what
+// keeps the paper's O(M) communication claim verifiable on real wire
+// bytes.
 //
 // Threading: a Transport instance is single-threaded — all calls must
-// come from one thread. Distinct instances (e.g. several TcpTransport
-// endpoints in one test process) are independent. See net/network.h and
-// transport/tcp_transport.h for backend-specific notes.
+// come from the one thread acting for its party. Distinct endpoints
+// (the P endpoints of a mesh, several TcpTransports in one test
+// process) are independent and may run concurrently. See
+// transport/inprocess_mesh.h and transport/tcp_transport.h for
+// backend-specific notes.
 
 #ifndef DASH_TRANSPORT_TRANSPORT_H_
 #define DASH_TRANSPORT_TRANSPORT_H_
@@ -59,6 +61,11 @@ class TrafficMetrics {
   void BumpRound() { rounds_.fetch_add(1, std::memory_order_relaxed); }
   void Reset();
 
+  // Adds `other`'s counters into this one (same party count); rounds
+  // become the larger of the two — parties of one run share a round
+  // schedule, so the union of per-party ledgers keeps the run's count.
+  void MergeFrom(const TrafficMetrics& other);
+
   int64_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -94,11 +101,10 @@ class Transport {
 
   int num_parties() const { return num_parties_; }
 
-  // The party this endpoint acts for, or -1 when the transport carries
-  // every party in-process (the simulation backend). Backends bound to
-  // one party reject Send with a foreign `from` and Receive with a
+  // The party this endpoint acts for. Every backend is bound to one
+  // party and rejects Send with a foreign `from` and Receive with a
   // foreign `to`.
-  virtual int local_party() const { return -1; }
+  virtual int local_party() const = 0;
 
   // Queues/transmits a message; from/to must be distinct valid party ids.
   virtual Status Send(int from, int to, MessageTag tag,
@@ -108,13 +114,12 @@ class Transport {
   virtual Status Broadcast(int from, MessageTag tag,
                            const std::vector<uint8_t>& payload);
 
-  // Delivers the next message queued from -> to. Backend semantics
-  // differ only in how "not there yet" is reported: the in-process
-  // backend fails immediately with FailedPrecondition (an absent message
-  // is a protocol bug when every party runs in one thread), while the
-  // TCP backend blocks up to its configured timeout and then fails with
-  // DeadlineExceeded. A tag mismatch is FailedPrecondition on every
-  // backend (protocol desync).
+  // Delivers the next message queued from -> to (`to` is the local
+  // party). Blocks until it arrives; fails with Unavailable once the
+  // sender is gone, with the originator's status once a peer's kAbort is
+  // latched, and with DeadlineExceeded after the backend's receive
+  // deadline. A tag mismatch is FailedPrecondition on every backend
+  // (protocol desync).
   virtual Result<Message> Receive(int to, int from,
                                   MessageTag expected_tag) = 0;
 

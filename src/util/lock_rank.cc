@@ -16,6 +16,8 @@ const char* LockRankName(LockRank rank) {
       return "kPhase1Cache";
     case LockRank::kSessionMux:
       return "kSessionMux";
+    case LockRank::kInProcessMesh:
+      return "kInProcessMesh";
     case LockRank::kThreadPool:
       return "kThreadPool";
     case LockRank::kTransportStats:

@@ -21,6 +21,7 @@
 //                                               a running job's session)
 //    30   Phase1Cache::mu_                      (leaf)
 //    40   SessionMux::mu_                       (leaf)
+//    45   InProcessMesh::mu_                    (leaf)
 //    50   ThreadPool::mu_                       (leaf)
 //    60   TcpTransport::stats_mutex_            (leaf)
 //    70   SecrecyAudit registry                 (leaf)
@@ -48,6 +49,7 @@ enum class LockRank : int32_t {
   kJobScheduler = 20,
   kPhase1Cache = 30,
   kSessionMux = 40,
+  kInProcessMesh = 45,
   kThreadPool = 50,
   kTransportStats = 60,
   kSecrecyAudit = 70,

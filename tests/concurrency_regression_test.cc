@@ -10,9 +10,9 @@
 //  * ThreadPool shutdown with work still queued, concurrent Schedule
 //    from many external threads, and Schedule-from-worker followed by
 //    owner Wait — the ThreadPool lifecycle hot spots.
-//  * The pipelined scan's double-buffer handoff (compute block b+1 on a
-//    pool worker while block b is aggregated on the caller) — repeated
-//    runs must stay bit-identical and TSan-clean.
+//  * The simulator: P party threads exchanging through one in-process
+//    mesh, each with its own statistics pool — repeated runs must stay
+//    bit-identical and TSan-clean.
 //  * The lock-rank checker (util/lock_rank.h): out-of-order and
 //    non-LIFO acquisitions must die in debug builds, and in-order
 //    nesting must not.
@@ -37,7 +37,7 @@
 #include "core/secure_scan.h"
 #include "data/workloads.h"
 #include "mpc/secrecy.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "net/serialization.h"
 #include "service/control_server.h"
 #include "service/job.h"
@@ -57,56 +57,60 @@ namespace {
 // TrafficMetrics: protocol thread records, monitoring thread reads.
 
 TEST(ConcurrencyRegressionTest, MetricsMonitorThreadDoesNotRace) {
-  InProcessTransport net(3);
+  InProcessMesh mesh(3);
+  Transport* sender = mesh.endpoint(0);
+  Transport* receiver = mesh.endpoint(1);
   std::atomic<bool> done{false};
 
   // Monitoring thread: the read half of the documented contract.
   int64_t last_bytes = 0;
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const int64_t bytes = net.metrics().total_bytes();
+      const int64_t bytes = sender->metrics().total_bytes();
       EXPECT_GE(bytes, last_bytes);  // counters are monotone until Reset
       last_bytes = bytes;
-      (void)net.metrics().total_messages();
-      (void)net.metrics().rounds();
-      (void)net.metrics().MaxLinkBytes();
-      (void)net.metrics().BytesSentBy(0);
+      (void)sender->metrics().total_messages();
+      (void)sender->metrics().rounds();
+      (void)sender->metrics().MaxLinkBytes();
+      (void)sender->metrics().BytesSentBy(0);
     }
   });
 
   // Protocol thread (this one): hammer Send/BeginRound.
   for (int round = 0; round < 500; ++round) {
-    net.BeginRound();
+    sender->BeginRound();
     ByteWriter w;
     w.PutU64(static_cast<uint64_t>(round));
-    ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, w.Take()).ok());
-    const auto msg = net.Receive(1, 0, MessageTag::kPlainStats);
+    ASSERT_TRUE(sender->Send(0, 1, MessageTag::kPlainStats, w.Take()).ok());
+    const auto msg = receiver->Receive(1, 0, MessageTag::kPlainStats);
     ASSERT_TRUE(msg.ok()) << msg.status();
   }
   done.store(true, std::memory_order_release);
   monitor.join();
 
-  EXPECT_EQ(net.metrics().total_messages(), 500);
-  EXPECT_EQ(net.metrics().rounds(), 500);
+  EXPECT_EQ(sender->metrics().total_messages(), 500);
+  EXPECT_EQ(sender->metrics().rounds(), 500);
 }
 
 TEST(ConcurrencyRegressionTest, MetricsResetRacingRecordStaysSane) {
-  InProcessTransport net(2);
+  InProcessMesh mesh(2);
+  Transport* sender = mesh.endpoint(0);
+  Transport* receiver = mesh.endpoint(1);
   std::atomic<bool> done{false};
   std::thread resetter([&] {
     while (!done.load(std::memory_order_acquire)) {
-      net.metrics().Reset();
+      sender->metrics().Reset();
     }
   });
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {1, 2, 3}).ok());
-    ASSERT_TRUE(net.Receive(1, 0, MessageTag::kPlainStats).ok());
+    ASSERT_TRUE(sender->Send(0, 1, MessageTag::kPlainStats, {1, 2, 3}).ok());
+    ASSERT_TRUE(receiver->Receive(1, 0, MessageTag::kPlainStats).ok());
   }
   done.store(true, std::memory_order_release);
   resetter.join();
   // Post-join reads are exact: whatever survived the last Reset.
-  EXPECT_GE(net.metrics().total_messages(), 0);
-  EXPECT_LE(net.metrics().total_messages(), 300);
+  EXPECT_GE(sender->metrics().total_messages(), 0);
+  EXPECT_LE(sender->metrics().total_messages(), 300);
 }
 
 // ---------------------------------------------------------------------
@@ -564,12 +568,12 @@ TEST(ConcurrencyRegressionTest, StressSessionMuxChannelsWithStatsPolling) {
 }
 
 // ---------------------------------------------------------------------
-// Pipelined scan double-buffer handoff.
+// Simulator: P party threads on one mesh, each running a thread pool.
 
-TEST(ConcurrencyRegressionTest, PipelinedDoubleBufferHandoffIsDeterministic) {
+TEST(ConcurrencyRegressionTest, SimulatorPartyThreadsAreDeterministic) {
   GwasWorkloadOptions wopts;
   wopts.party_sizes = {30, 25, 35};
-  wopts.num_variants = 41;  // not a multiple of the block size
+  wopts.num_variants = 41;
   wopts.num_covariates = 3;
   wopts.num_causal = 2;
   wopts.seed = 977;
@@ -582,15 +586,14 @@ TEST(ConcurrencyRegressionTest, PipelinedDoubleBufferHandoffIsDeterministic) {
       SecureAssociationScan(reference_options).Run(workload->parties);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
-  SecureScanOptions pipelined = reference_options;
-  pipelined.pipeline_block_variants = 7;
-  pipelined.num_threads = 4;  // worker computes block b+1 during round b
+  SecureScanOptions threaded = reference_options;
+  threaded.num_threads = 4;  // every party thread runs its own pool
   for (int run = 0; run < 5; ++run) {
-    const auto got = SecureAssociationScan(pipelined).Run(workload->parties);
+    const auto got = SecureAssociationScan(threaded).Run(workload->parties);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(got->result.beta.size(), reference->result.beta.size());
     for (size_t i = 0; i < reference->result.beta.size(); ++i) {
-      // Bit-identical across the handoff, every run.
+      // Bit-identical across thread interleavings, every run.
       EXPECT_EQ(got->result.beta[i], reference->result.beta[i]) << i;
       EXPECT_EQ(got->result.se[i], reference->result.se[i]) << i;
     }

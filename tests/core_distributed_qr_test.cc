@@ -5,7 +5,7 @@
 #include "core/party_local.h"
 #include "data/genotype_generator.h"
 #include "linalg/qr.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/random.h"
 
 namespace dash {
@@ -35,7 +35,7 @@ TEST_P(DistributedQrModeTest, MatchesPooledFactorization) {
     local_r.push_back(PartyLocalRFactor(p).value());
     blocks.push_back(p.c);
   }
-  Network net(4);
+  InProcessMesh net(4);
   const DistributedQrResult result =
       CombineRFactorsOverNetwork(&net, local_r, GetParam()).value();
   const Matrix pooled_r = QrRFactor(VStack(blocks)).value();
@@ -49,7 +49,7 @@ TEST_P(DistributedQrModeTest, PartyLocalQsAssembleGlobalBasis) {
   const auto parties = MakeParties({8, 30, 14}, 2, 2);
   std::vector<Matrix> local_r;
   for (const auto& p : parties) local_r.push_back(PartyLocalRFactor(p).value());
-  Network net(3);
+  InProcessMesh net(3);
   const DistributedQrResult result =
       CombineRFactorsOverNetwork(&net, local_r, GetParam()).value();
   std::vector<Matrix> qs;
@@ -70,7 +70,7 @@ TEST(DistributedQrTest, TreeUsesLogRounds) {
     for (const auto& pd : parties) {
       local_r.push_back(PartyLocalRFactor(pd).value());
     }
-    Network net(p);
+    InProcessMesh net(p);
     const DistributedQrResult result =
         CombineRFactorsOverNetwork(&net, local_r, RCombineMode::kBinaryTree)
             .value();
@@ -91,11 +91,11 @@ TEST(DistributedQrTest, TreeMovesFewerBytesThanBroadcastForManyParties) {
   std::vector<Matrix> local_r;
   for (const auto& pd : parties) local_r.push_back(PartyLocalRFactor(pd).value());
 
-  Network broadcast_net(p);
+  InProcessMesh broadcast_net(p);
   (void)CombineRFactorsOverNetwork(&broadcast_net, local_r,
                                    RCombineMode::kBroadcastStack)
       .value();
-  Network tree_net(p);
+  InProcessMesh tree_net(p);
   (void)CombineRFactorsOverNetwork(&tree_net, local_r,
                                    RCombineMode::kBinaryTree)
       .value();
@@ -112,7 +112,7 @@ TEST(DistributedQrTest, RBytesAreIndependentOfSampleCounts) {
   {
     std::vector<Matrix> rs;
     for (const auto& pd : small) rs.push_back(PartyLocalRFactor(pd).value());
-    Network net(3);
+    InProcessMesh net(3);
     (void)CombineRFactorsOverNetwork(&net, rs, RCombineMode::kBroadcastStack)
         .value();
     bytes_small = net.metrics().total_bytes();
@@ -120,7 +120,7 @@ TEST(DistributedQrTest, RBytesAreIndependentOfSampleCounts) {
   {
     std::vector<Matrix> rs;
     for (const auto& pd : large) rs.push_back(PartyLocalRFactor(pd).value());
-    Network net(3);
+    InProcessMesh net(3);
     (void)CombineRFactorsOverNetwork(&net, rs, RCombineMode::kBroadcastStack)
         .value();
     bytes_large = net.metrics().total_bytes();
@@ -130,7 +130,7 @@ TEST(DistributedQrTest, RBytesAreIndependentOfSampleCounts) {
 
 TEST(DistributedQrTest, SinglePartySkipsTheNetwork) {
   const auto parties = MakeParties({25}, 3, 6);
-  Network net(1);
+  InProcessMesh net(1);
   const DistributedQrResult result =
       CombineRFactorsOverNetwork(&net, {PartyLocalRFactor(parties[0]).value()},
                                  RCombineMode::kBroadcastStack)
@@ -140,7 +140,7 @@ TEST(DistributedQrTest, SinglePartySkipsTheNetwork) {
 }
 
 TEST(DistributedQrTest, Validation) {
-  Network net(2);
+  InProcessMesh net(2);
   EXPECT_FALSE(
       CombineRFactorsOverNetwork(&net, {Matrix(2, 2)},
                                  RCombineMode::kBroadcastStack)

@@ -11,7 +11,8 @@
 #include "data/genotype_generator.h"
 #include "data/missing_data.h"
 #include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/fault_transport.h"
+#include "transport/inprocess_mesh.h"
 #include "util/random.h"
 
 namespace dash {
@@ -132,6 +133,31 @@ TEST(SecureImputationTest, NoMissingnessIsIdentity) {
 }
 
 // --- Shamir dropout tolerance ---
+//
+// A real dropout: the dropped parties' mesh endpoints are wrapped in a
+// FaultInjectingTransport whose kDisconnect rule fires on their first
+// message of round 2 — after their input shares went out in round 1,
+// before their sum shares do. Each party then leaves the mesh, as a
+// crashed process would.
+
+std::vector<Result<Vector>> RunShamirWithDropouts(
+    const std::vector<Vector>& inputs, const SecureSumOptions& opts,
+    int dropouts) {
+  const int p = static_cast<int>(inputs.size());
+  InProcessMesh mesh(p);
+  return RunPerParty(&mesh, [&](int i, Transport* endpoint) {
+    FaultPlan plan;
+    if (i >= p - dropouts) {
+      FaultRule crash;
+      crash.kind = FaultKind::kDisconnect;
+      crash.round = 2;
+      plan.rules.push_back(crash);
+    }
+    FaultInjectingTransport transport(endpoint, plan);
+    PartySecureVectorSum sum(&transport, opts);
+    return sum.Run(Secret<Vector>(inputs[static_cast<size_t>(i)]));
+  });
+}
 
 TEST(ShamirDropoutTest, SumSurvivesDropoutsBelowThresholdBound) {
   const int p = 5;
@@ -146,43 +172,48 @@ TEST(ShamirDropoutTest, SumSurvivesDropoutsBelowThresholdBound) {
   }
   // threshold t = 2 -> need >= 3 survivors -> up to 2 dropouts.
   for (const int dropouts : {0, 1, 2}) {
-    Network net(p);
     SecureSumOptions opts;
     opts.mode = AggregationMode::kShamir;
     opts.frac_bits = 24;
     opts.shamir_threshold = 2;
-    opts.simulate_shamir_dropouts = dropouts;
-    SecureVectorSum sum(&net, opts);
-    const Vector got = sum.Run(ToSecretInputs(inputs)).value();
-    for (size_t e = 0; e < got.size(); ++e) {
-      // The crashed parties' inputs are still included.
-      EXPECT_NEAR(got[e], expected[e], 1e-5)
-          << "dropouts=" << dropouts << " element " << e;
+    const auto outs = RunShamirWithDropouts(inputs, opts, dropouts);
+    for (int i = 0; i < p; ++i) {
+      const auto& got = outs[static_cast<size_t>(i)];
+      if (i >= p - dropouts) {
+        EXPECT_FALSE(got.ok()) << "dropped party " << i << " finished";
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << "dropouts=" << dropouts << " survivor " << i
+                            << ": " << got.status();
+      for (size_t e = 0; e < got->size(); ++e) {
+        // The crashed parties' inputs are still included.
+        EXPECT_NEAR((*got)[e], expected[e], 1e-5)
+            << "dropouts=" << dropouts << " survivor " << i << " element "
+            << e;
+      }
     }
   }
 }
 
-TEST(ShamirDropoutTest, TooManyDropoutsIsAnError) {
-  Network net(4);
+TEST(ShamirDropoutTest, TooManyDropoutsIsAnErrorAtEverySurvivor) {
   SecureSumOptions opts;
   opts.mode = AggregationMode::kShamir;
-  opts.shamir_threshold = 1;  // need >= 2 survivors
-  opts.simulate_shamir_dropouts = 3;
-  SecureVectorSum sum(&net, opts);
-  const auto r = sum.Run(ToSecretInputs({{1.0}, {1.0}, {1.0}, {1.0}}));
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  opts.shamir_threshold = 1;  // need >= 2 sum shares
+  const auto outs =
+      RunShamirWithDropouts({{1.0}, {1.0}, {1.0}, {1.0}}, opts, 3);
+  for (const auto& out : outs) {
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kUnavailable) << out.status();
+  }
 }
 
-TEST(ShamirDropoutTest, OtherModesHaveNoDropoutPath) {
-  // The option is Shamir-specific; masked aggregation with all parties
-  // present still works when the flag is set (it is simply ignored).
-  Network net(3);
+TEST(ShamirDropoutTest, OtherModesCannotLoseAParty) {
+  // Masked aggregation needs every party's masked vector: the dropped
+  // party's disconnect is an error at every survivor, never a wrong sum.
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
-  opts.simulate_shamir_dropouts = 1;
-  SecureVectorSum sum(&net, opts);
-  EXPECT_NEAR(sum.Run(ToSecretInputs({{1.0}, {2.0}, {3.0}})).value()[0],
-              6.0, 1e-9);
+  const auto outs = RunShamirWithDropouts({{1.0}, {2.0}, {3.0}}, opts, 1);
+  for (const auto& out : outs) EXPECT_FALSE(out.ok());
 }
 
 }  // namespace

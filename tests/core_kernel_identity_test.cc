@@ -1,4 +1,4 @@
-// Pins the blocked/zero-copy/pipelined kernels to the original scalar
+// Pins the blocked/zero-copy kernels to the original scalar
 // kernel BIT FOR BIT. The blocked kernel reorders memory traffic, never
 // arithmetic: every output element accumulates over rows in the same
 // order, so for finite inputs the wire images must be identical — any
@@ -20,11 +20,8 @@
 #include <vector>
 
 #include "core/kernels/stats_kernels.h"
-#include "core/scan_pipeline.h"
-#include "core/secure_scan.h"
 #include "core/suff_stats.h"
 #include "data/genotype_generator.h"
-#include "data/workloads.h"
 #include "linalg/packed_matrix.h"
 #include "linalg/qr.h"
 #include "util/random.h"
@@ -335,9 +332,9 @@ TEST(KernelIdentityTest, IsaSweepThreadPoolAndPackedRoundTrip) {
 }
 
 TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
-  // The pipelined scan computes arbitrary column sub-ranges; each must
-  // reproduce the corresponding slice of the full wire image even when
-  // the range boundaries fall mid cache-block.
+  // The column-range kernel must reproduce the corresponding slice of
+  // the full wire image for arbitrary sub-ranges, even when the range
+  // boundaries fall mid cache-block.
   Rng rng(31);
   const int64_t n = 260, m = 200, k = 3;
   const Matrix x = GaussianMatrix(n, m, &rng);
@@ -353,7 +350,9 @@ TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
     // The column-range kernels ACCUMULATE into their destination, so
     // the buffer must start zeroed (as every production caller does).
     Vector buf(static_cast<size_t>((2 + k) * w), 0.0);
-    ComputeStatsColumns(x, y, q, r.begin, r.end, PipelineBlockView(buf.data(), w));
+    ComputeStatsColumns(x, y, q, r.begin, r.end,
+                        StatsBlockView{buf.data(), buf.data() + w,
+                                       buf.data() + 2 * w, w});
     for (int64_t j = 0; j < w; ++j) {
       Vector got{buf[static_cast<size_t>(j)], buf[static_cast<size_t>(w + j)]};
       Vector want{full.xy[static_cast<size_t>(r.begin + j)],
@@ -365,72 +364,6 @@ TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
       ExpectBitIdentical(got, want, "column slice");
     }
   }
-}
-
-// ---- pipelined protocol vs one-shot, in-process, all four modes ----
-
-ScanWorkload PipelineWorkload() {
-  GwasWorkloadOptions options;
-  options.party_sizes = {35, 45, 40};
-  options.num_variants = 23;  // not a multiple of any block size below
-  options.num_covariates = 3;
-  options.num_causal = 2;
-  options.seed = 1234;
-  return MakeGwasWorkload(options).value();
-}
-
-void ExpectSameScan(const ScanResult& a, const ScanResult& b) {
-  ExpectBitIdentical(a.beta, b.beta, "beta");
-  ExpectBitIdentical(a.se, b.se, "se");
-  ExpectBitIdentical(a.tstat, b.tstat, "tstat");
-  ExpectBitIdentical(a.pval, b.pval, "pval");
-  EXPECT_EQ(a.dof, b.dof);
-}
-
-TEST(KernelIdentityTest, PipelinedScanMatchesOneShotAllModes) {
-  const ScanWorkload workload = PipelineWorkload();
-  const AggregationMode modes[] = {
-      AggregationMode::kPublicShare, AggregationMode::kAdditive,
-      AggregationMode::kMasked, AggregationMode::kShamir};
-  for (const AggregationMode mode : modes) {
-    SCOPED_TRACE(AggregationModeName(mode));
-    SecureScanOptions one_shot;
-    one_shot.aggregation = mode;
-    const auto reference = SecureAssociationScan(one_shot).Run(workload.parties);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    for (const int64_t block : {1, 7, 23, 100}) {
-      SCOPED_TRACE("block=" + std::to_string(block));
-      SecureScanOptions pipelined = one_shot;
-      pipelined.pipeline_block_variants = block;
-      const auto got = SecureAssociationScan(pipelined).Run(workload.parties);
-      ASSERT_TRUE(got.ok()) << got.status();
-      ExpectSameScan(got->result, reference->result);
-    }
-  }
-}
-
-TEST(KernelIdentityTest, PipelinedScanWithThreadsMatchesOneShot) {
-  const ScanWorkload workload = PipelineWorkload();
-  SecureScanOptions one_shot;
-  one_shot.aggregation = AggregationMode::kMasked;
-  const auto reference = SecureAssociationScan(one_shot).Run(workload.parties);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  SecureScanOptions pipelined = one_shot;
-  pipelined.pipeline_block_variants = 5;
-  pipelined.num_threads = 4;  // overlapped double-buffer path
-  const auto got = SecureAssociationScan(pipelined).Run(workload.parties);
-  ASSERT_TRUE(got.ok()) << got.status();
-  ExpectSameScan(got->result, reference->result);
-}
-
-TEST(KernelIdentityTest, PipelineRejectsBeaverProjection) {
-  const ScanWorkload workload = PipelineWorkload();
-  SecureScanOptions options;
-  options.projection = ProjectionSecurity::kBeaverDotProducts;
-  options.pipeline_block_variants = 8;
-  const auto out = SecureAssociationScan(options).Run(workload.parties);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

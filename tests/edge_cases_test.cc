@@ -13,7 +13,7 @@
 #include "linalg/sparse_matrix.h"
 #include "linalg/tsqr.h"
 #include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "stats/ols.h"
 #include "util/random.h"
 
@@ -81,7 +81,7 @@ TEST(EdgeCaseTest, EmptySparseMatrix) {
 }
 
 TEST(EdgeCaseTest, ZeroLengthSecureSum) {
-  Network net(3);
+  InProcessMesh net(3);
   SecureVectorSum sum(&net, {});
   const Vector got = sum.Run(ToSecretInputs({Vector{}, Vector{}, Vector{}})).value();
   EXPECT_TRUE(got.empty());
@@ -146,7 +146,7 @@ TEST(EdgeCaseTest, OlsWithSingleCoefficient) {
 // --- Protocol boundary conditions ---
 
 TEST(EdgeCaseTest, TwoPartyMaskedAggregationIsMinimalMesh) {
-  Network net(2);
+  InProcessMesh net(2);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
   SecureVectorSum sum(&net, opts);

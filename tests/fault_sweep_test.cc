@@ -1,6 +1,7 @@
 // Randomized fault sweep (label: slow). Two hundred seeded FaultPlans —
 // 1..3 rules each, any kind, any round, any link — run against the
-// in-process backend, plus a slice of them against real TCP meshes.
+// in-process mesh (one thread per party, as over TCP), plus a slice of
+// them against real TCP meshes.
 // Every case must end in the weak two-outcome invariant: each party
 // fails cleanly or holds bits identical to the fault-free reference.
 // OK-with-wrong-bits and hangs are the only losses.
@@ -24,7 +25,7 @@
 #include "core/scan_result.h"
 #include "core/secure_scan.h"
 #include "data/workloads.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "transport/cluster_config.h"
 #include "transport/fault_transport.h"
 #include "transport/party_runner.h"
@@ -98,18 +99,26 @@ TEST(FaultSweepTest, TwoHundredRandomPlansInProcess) {
   int clean_successes = 0;
   for (uint64_t seed = 1; seed <= 200; ++seed) {
     const FaultPlan plan = FaultPlan::Random(seed, sweep);
-    InProcessTransport net(3);
-    FaultInjectingTransport fault(&net, plan);
-    const auto out = SecureAssociationScan(options).Run(workload.parties,
-                                                        &fault);
-    if (!out.ok()) {
-      ++clean_failures;
-      continue;
+    InProcessMesh mesh(3);
+    const auto outs = RunPerParty(&mesh, [&](int i, Transport* endpoint) {
+      FaultInjectingTransport fault(endpoint, plan);
+      return RunPartySecureScan(
+          &fault, workload.parties[static_cast<size_t>(i)], options);
+    });
+    bool all_ok = true;
+    for (int i = 0; i < 3; ++i) {
+      const auto& out = outs[static_cast<size_t>(i)];
+      if (!out.ok()) {
+        all_ok = false;
+        continue;
+      }
+      if (ScanResultChecksum(out->result) != ref_sum) {
+        RecordFailure(seed, plan,
+                      "party " + std::to_string(i) +
+                          " returned OK with WRONG bits in-process");
+      }
     }
-    ++clean_successes;
-    if (ScanResultChecksum(out->result) != ref_sum) {
-      RecordFailure(seed, plan, "run returned OK with WRONG bits");
-    }
+    ++(all_ok ? clean_successes : clean_failures);
   }
   // The sweep must actually exercise both outcomes, or the plan
   // generator has gone degenerate.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Kill-a-daemon smoke: three dash_partyd daemons form a mesh; party 2 is
-# SIGKILLed while a job is in flight. Required behavior:
+# SIGKILLed while an in-memory job is in flight. Required behavior:
 #   * both SURVIVING DAEMONS STAY UP and fail ONLY the affected job,
 #     with a transport status (Unavailable / DeadlineExceeded);
 #   * a job submitted to the survivors DURING the outage is accepted and
@@ -67,10 +67,25 @@ done
 
 fail=0
 
-# Job 1: big enough to still be in flight when the kill lands.
-"${CTL[@]}" --ports "$CPORTS" submit --job 1 --cohort big \
+# Job 1 is in flight by construction, not by timing: it is submitted to
+# daemons 0 and 1 only, so both start it and block in Phase 0 waiting
+# for party 2's sample count, which never comes. Once both report
+# state=running, party 2 is SIGKILLed mid-job.
+"${CTL[@]}" --ports "$C0,$C1" submit --job 1 --cohort big \
   --variants 512 --samples 2048 --covariates 4 --data-seed 5 >/dev/null || fail=1
-sleep 0.3
+for port in "$C0" "$C1"; do
+  running=0
+  for _ in $(seq 1 100); do
+    case "$("${CTL[@]}" --ports "$port" status --job 1 2>/dev/null)" in
+      *state=running*) running=1; break ;;
+    esac
+    sleep 0.05
+  done
+  if [ "$running" -ne 1 ]; then
+    echo "FAIL: job 1 never reached state=running on $port" >&2
+    fail=1
+  fi
+done
 kill -9 "${PIDS[2]}"
 
 # The survivors must FAIL job 1 (not hang, not die) within the receive

@@ -14,7 +14,7 @@
 #include "mpc/beaver.h"
 #include "mpc/secrecy.h"
 #include "mpc/secure_projection.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/random.h"
 
 namespace dash {
@@ -116,7 +116,7 @@ TEST_P(SecureProjectionTest, MatchesDirectDotProducts) {
     }
   }
 
-  Network net(p);
+  InProcessMesh net(p);
   SecureProjectionOptions opts;
   opts.frac_bits = 22;
   SecureProjectedAggregation agg(&net, opts);
@@ -145,7 +145,7 @@ TEST(SecureProjectionTest, NeverTransmitsTheRawSummands) {
   std::vector<Matrix> qtx = {GaussianMatrix(3, 5, &rng),
                              GaussianMatrix(3, 5, &rng)};
   const auto run = [&](uint64_t seed) {
-    Network net(p);
+    InProcessMesh net(p);
     SecureProjectionOptions opts;
     opts.seed = seed;
     SecureProjectedAggregation agg(&net, opts);
@@ -157,7 +157,7 @@ TEST(SecureProjectionTest, NeverTransmitsTheRawSummands) {
 }
 
 TEST(SecureProjectionTest, HeadroomViolationIsReported) {
-  Network net(2);
+  InProcessMesh net(2);
   SecureProjectionOptions opts;
   opts.frac_bits = 28;  // products carry 56 fractional bits
   SecureProjectedAggregation agg(&net, opts);
@@ -168,7 +168,7 @@ TEST(SecureProjectionTest, HeadroomViolationIsReported) {
 }
 
 TEST(SecureProjectionTest, ShapeValidation) {
-  Network net(2);
+  InProcessMesh net(2);
   SecureProjectedAggregation agg(&net, {});
   EXPECT_FALSE(agg.Run(SecretVectors({{1.0}}),
                        SecretMatrices({Matrix(1, 2), Matrix(1, 2)}))
@@ -182,7 +182,7 @@ TEST(SecureProjectionTest, ShapeValidation) {
 }
 
 TEST(SecureProjectionTest, ZeroCovariatesShortCircuit) {
-  Network net(2);
+  InProcessMesh net(2);
   SecureProjectedAggregation agg(&net, {});
   const auto r = agg.Run(SecretVectors({Vector{}, Vector{}}),
                          SecretMatrices({Matrix(0, 4), Matrix(0, 4)}))

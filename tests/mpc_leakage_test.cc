@@ -14,7 +14,7 @@
 #include "mpc/fixed_point.h"
 #include "mpc/masked_aggregation.h"
 #include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "net/serialization.h"
 #include "util/chacha20.h"
 #include "util/random.h"
@@ -33,7 +33,7 @@ double OneBitFraction(const std::vector<uint8_t>& bytes) {
 TEST(LeakageTest, PublicModeVisiblyTransmitsInputs) {
   // The insecure baseline puts the raw doubles on the wire: the first
   // message party 0 broadcasts is exactly its serialized input.
-  Network net(2);
+  InProcessMesh net(2);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kPublicShare;
   SecureVectorSum sum(&net, opts);
@@ -109,8 +109,8 @@ TEST(LeakageTest, SecureModesRevealOnlyTheTotal) {
   for (const auto mode :
        {AggregationMode::kAdditive, AggregationMode::kMasked,
         AggregationMode::kShamir}) {
-    Network net_a(3);
-    Network net_b(3);
+    InProcessMesh net_a(3);
+    InProcessMesh net_b(3);
     SecureSumOptions opts;
     opts.mode = mode;
     opts.frac_bits = 32;
@@ -134,7 +134,7 @@ TEST(LeakageTest, TrafficVolumeIsValueIndependent) {
     int64_t bytes[2] = {0, 0};
     int variant = 0;
     for (const double scale : {1e-6, 1e5}) {
-      Network net(4);
+      InProcessMesh net(4);
       SecureSumOptions opts;
       opts.mode = mode;
       opts.frac_bits = 24;

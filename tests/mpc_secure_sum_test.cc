@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/random.h"
 
 namespace dash {
@@ -34,7 +34,7 @@ class SecureSumModeTest
 
 TEST_P(SecureSumModeTest, SumsMatchPlainComputation) {
   const auto [mode, parties] = GetParam();
-  Network net(parties);
+  InProcessMesh net(parties);
   SecureSumOptions opts;
   opts.mode = mode;
   opts.frac_bits = 32;
@@ -54,7 +54,7 @@ TEST_P(SecureSumModeTest, SumsMatchPlainComputation) {
 
 TEST_P(SecureSumModeTest, RepeatedRunsStayCorrect) {
   const auto [mode, parties] = GetParam();
-  Network net(parties);
+  InProcessMesh net(parties);
   SecureSumOptions opts;
   opts.mode = mode;
   opts.frac_bits = 32;
@@ -79,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(2, 3, 5, 8)));
 
 TEST(SecureSumTest, SinglePartyShortCircuits) {
-  Network net(1);
+  InProcessMesh net(1);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
   SecureVectorSum sum(&net, opts);
@@ -89,7 +89,7 @@ TEST(SecureSumTest, SinglePartyShortCircuits) {
 }
 
 TEST(SecureSumTest, ScalarConvenience) {
-  Network net(3);
+  InProcessMesh net(3);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kAdditive;
   SecureVectorSum sum(&net, opts);
@@ -97,14 +97,14 @@ TEST(SecureSumTest, ScalarConvenience) {
 }
 
 TEST(SecureSumTest, InputValidation) {
-  Network net(3);
+  InProcessMesh net(3);
   SecureVectorSum sum(&net, {});
   EXPECT_FALSE(sum.Run(ToSecretInputs({{1.0}, {2.0}})).ok());                  // wrong count
   EXPECT_FALSE(sum.Run(ToSecretInputs({{1.0}, {2.0}, {3.0, 4.0}})).ok());      // ragged
 }
 
 TEST(SecureSumTest, FixedPointOverflowIsReported) {
-  Network net(2);
+  InProcessMesh net(2);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kAdditive;
   opts.frac_bits = 50;  // headroom only 2^13
@@ -114,7 +114,7 @@ TEST(SecureSumTest, FixedPointOverflowIsReported) {
 }
 
 TEST(SecureSumTest, ShamirHeadroomIsNarrowerThanRing) {
-  Network net(3);
+  InProcessMesh net(3);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kShamir;
   opts.frac_bits = 40;  // field headroom 2^20 / P
@@ -128,7 +128,7 @@ TEST(SecureSumTest, ShamirHeadroomIsNarrowerThanRing) {
 }
 
 TEST(SecureSumTest, MaskedSetupIsIdempotentAndCostsOnce) {
-  Network net(4);
+  InProcessMesh net(4);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
   SecureVectorSum sum(&net, opts);
@@ -155,19 +155,19 @@ TEST(SecureSumTest, BytesScaleLinearlyInLength) {
     opts.mode = mode;
     opts.frac_bits = 24;
 
-    Network net_small(3);
+    InProcessMesh net_small(3);
     SecureVectorSum small(&net_small, opts);
     ASSERT_TRUE(small.Setup().ok());
-    net_small.metrics().Reset();
+    const int64_t setup_small = net_small.metrics().total_bytes();
     (void)small.Run(ToSecretInputs(RandomInputs(3, 100, 6))).value();
-    const int64_t bytes_small = net_small.metrics().total_bytes();
+    const int64_t bytes_small = net_small.metrics().total_bytes() - setup_small;
 
-    Network net_large(3);
+    InProcessMesh net_large(3);
     SecureVectorSum large(&net_large, opts);
     ASSERT_TRUE(large.Setup().ok());
-    net_large.metrics().Reset();
+    const int64_t setup_large = net_large.metrics().total_bytes();
     (void)large.Run(ToSecretInputs(RandomInputs(3, 1000, 7))).value();
-    const int64_t bytes_large = net_large.metrics().total_bytes();
+    const int64_t bytes_large = net_large.metrics().total_bytes() - setup_large;
 
     // Fixed per-message overhead keeps the ratio just under 10x.
     EXPECT_GT(bytes_large, 9 * bytes_small)
@@ -179,16 +179,16 @@ TEST(SecureSumTest, BytesScaleLinearlyInLength) {
 
 TEST(SecureSumTest, MaskedIsCheapestSecureMode) {
   const auto bytes_for = [](AggregationMode mode) {
-    Network net(4);
+    InProcessMesh net(4);
     SecureSumOptions opts;
     opts.mode = mode;
     opts.frac_bits = 24;
     SecureVectorSum sum(&net, opts);
     auto r = sum.Setup();
     EXPECT_TRUE(r.ok());
-    net.metrics().Reset();
+    const int64_t setup_bytes = net.metrics().total_bytes();
     (void)sum.Run(ToSecretInputs(RandomInputs(4, 500, 8))).value();
-    return net.metrics().total_bytes();
+    return net.metrics().total_bytes() - setup_bytes;
   };
   const int64_t masked = bytes_for(AggregationMode::kMasked);
   const int64_t additive = bytes_for(AggregationMode::kAdditive);
@@ -198,7 +198,7 @@ TEST(SecureSumTest, MaskedIsCheapestSecureMode) {
 }
 
 TEST(SecureSumTest, NegativeAndTinyValuesSurviveQuantization) {
-  Network net(3);
+  InProcessMesh net(3);
   SecureSumOptions opts;
   opts.mode = AggregationMode::kMasked;
   opts.frac_bits = 48;

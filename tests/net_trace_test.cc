@@ -9,20 +9,21 @@
 #include "core/secure_scan.h"
 #include "data/workloads.h"
 #include "mpc/secure_sum.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "util/csv.h"
 
 namespace dash {
 namespace {
 
 TEST(ProtocolTraceTest, RecordsMessageMetadata) {
-  Network net(3);
+  InProcessMesh net(3);
   ProtocolTrace trace;
   net.AttachTrace(&trace);
-  net.BeginRound();
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kRFactor, {1, 2, 3}).ok());
-  net.BeginRound();
-  ASSERT_TRUE(net.Broadcast(1, MessageTag::kPartialSum, {9}).ok());
+  net.endpoint(0)->BeginRound();
+  ASSERT_TRUE(net.endpoint(0)->Send(0, 1, MessageTag::kRFactor, {1, 2, 3}).ok());
+  net.endpoint(1)->BeginRound();
+  net.endpoint(1)->BeginRound();
+  ASSERT_TRUE(net.endpoint(1)->Broadcast(1, MessageTag::kPartialSum, {9}).ok());
 
   ASSERT_EQ(trace.size(), 3);
   const TraceEvent& first = trace.events()[0];
@@ -39,19 +40,19 @@ TEST(ProtocolTraceTest, RecordsMessageMetadata) {
 }
 
 TEST(ProtocolTraceTest, DetachAndClear) {
-  Network net(2);
+  InProcessMesh net(2);
   ProtocolTrace trace;
   net.AttachTrace(&trace);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {}).ok());
+  ASSERT_TRUE(net.endpoint(0)->Send(0, 1, MessageTag::kPlainStats, {}).ok());
   net.AttachTrace(nullptr);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kPlainStats, {}).ok());
+  ASSERT_TRUE(net.endpoint(0)->Send(0, 1, MessageTag::kPlainStats, {}).ok());
   EXPECT_EQ(trace.size(), 1);
   trace.Clear();
   EXPECT_EQ(trace.size(), 0);
 }
 
 TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
-  Network net(3);
+  InProcessMesh net(3);
   ProtocolTrace trace;
   net.AttachTrace(&trace);
   SecureSumOptions opts;
@@ -73,10 +74,10 @@ TEST(ProtocolTraceTest, CapturesWholeSecureSumTranscript) {
 }
 
 TEST(ProtocolTraceTest, WritesParsableCsv) {
-  Network net(2);
+  InProcessMesh net(2);
   ProtocolTrace trace;
   net.AttachTrace(&trace);
-  ASSERT_TRUE(net.Send(0, 1, MessageTag::kMaskedValue, {1, 2}).ok());
+  ASSERT_TRUE(net.endpoint(0)->Send(0, 1, MessageTag::kMaskedValue, {1, 2}).ok());
   const std::string path = testing::TempDir() + "/trace.csv";
   ASSERT_TRUE(trace.WriteCsv(path).ok());
   const CsvTable table = CsvTable::ReadFile(path).value();

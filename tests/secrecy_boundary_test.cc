@@ -31,7 +31,7 @@
 
 #include "core/secure_scan.h"
 #include "data/workloads.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "transport/cluster_config.h"
 #include "transport/party_runner.h"
 #include "transport/tcp_transport.h"
@@ -177,15 +177,24 @@ ScanWorkload BoundaryWorkload() {
 std::vector<CapturedMessage> RunInProcess(AggregationMode mode,
                                           uint64_t seed) {
   const ScanWorkload workload = BoundaryWorkload();
-  InProcessTransport net(static_cast<int>(workload.parties.size()));
-  RecordingTransport recorder(&net);
+  InProcessMesh mesh(static_cast<int>(workload.parties.size()));
   SecureScanOptions options;
   options.aggregation = mode;
   options.seed = seed;
-  const auto out = SecureAssociationScan(options).Run(workload.parties,
-                                                      &recorder);
-  EXPECT_TRUE(out.ok()) << out.status();
-  return recorder.sent();
+  // Every simulated party records its own sends; concatenated in party
+  // order, the capture is deterministic for a given seed.
+  const auto per_party = RunPerParty(&mesh, [&](int i, Transport* t) {
+    RecordingTransport recorder(t);
+    const auto out = RunPartySecureScan(
+        &recorder, workload.parties[static_cast<size_t>(i)], options);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return recorder.sent();
+  });
+  std::vector<CapturedMessage> sent;
+  for (const auto& party_sent : per_party) {
+    sent.insert(sent.end(), party_sent.begin(), party_sent.end());
+  }
+  return sent;
 }
 
 // The boundary assertions shared by both backends.
@@ -197,12 +206,12 @@ void CheckBoundary(const std::vector<CapturedMessage>& sent,
   for (const auto& msg : sent) {
     if (msg.tag == MessageTag::kPlainStats) {
       // Plaintext summands are only legal in the public-share baseline,
-      // and only because party_runner.cc declassifies them explicitly —
+      // and only because secure_sum.cc declassifies them explicitly —
       // which in turn must be allowlisted.
       EXPECT_EQ(mode, AggregationMode::kPublicShare)
           << "plaintext stats on the wire in a secure mode";
       EXPECT_TRUE(allowlist.names.count(
-          "declassify@src/transport/party_runner.cc"))
+          "declassify@src/mpc/secure_sum.cc"))
           << "public-share declassification is not allowlisted";
       continue;
     }

@@ -17,7 +17,7 @@
 
 #include "core/secure_scan.h"
 #include "data/workloads.h"
-#include "net/network.h"
+#include "transport/inprocess_mesh.h"
 #include "net/trace.h"
 #include "transport/cluster_config.h"
 #include "transport/party_runner.h"
@@ -221,37 +221,6 @@ TEST(CrossBackendTest, CenteredAdditiveBinaryTree) {
   RunBothBackends(options);
 }
 
-// Pipelined aggregation (header round + one round per variant block,
-// block b+1 computed while block b is in flight) must walk the same
-// round schedule on both backends and reveal the same bits. Block size
-// 7 does not divide the workload's M = 25, so the last block is ragged.
-TEST(CrossBackendTest, PipelinedMaskedBroadcastStack) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kMasked;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.pipeline_block_variants = 7;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, PipelinedAdditiveBinaryTree) {
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kAdditive;
-  options.r_combine = RCombineMode::kBinaryTree;
-  options.pipeline_block_variants = 10;
-  RunBothBackends(options);
-}
-
-TEST(CrossBackendTest, PipelinedPublicShareWithThreadPool) {
-  // num_threads > 1 exercises the Schedule/Wait double-buffer overlap
-  // on both drivers.
-  SecureScanOptions options;
-  options.aggregation = AggregationMode::kPublicShare;
-  options.r_combine = RCombineMode::kBroadcastStack;
-  options.pipeline_block_variants = 6;
-  options.num_threads = 3;
-  RunBothBackends(options);
-}
-
 TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
   const ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
@@ -259,7 +228,7 @@ TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
   options.aggregation = AggregationMode::kMasked;
 
   // In-process per-sender ledger.
-  InProcessTransport reference_net(p);
+  InProcessMesh reference_net(p);
   const auto reference =
       SecureAssociationScan(options).Run(workload.parties, &reference_net);
   ASSERT_TRUE(reference.ok()) << reference.status();
@@ -292,28 +261,24 @@ TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
   }
 }
 
-// The per-party runner refuses configurations that only make sense (or
-// only exist) in-process.
-TEST(CrossBackendTest, PartyRunnerRejectsInProcessTransport) {
-  InProcessTransport net(3);
+// The Beaver projection needs dealt triples: the simulator deals them,
+// a bare per-party run (no dealer, as over TCP) refuses before any
+// traffic.
+TEST(CrossBackendTest, PartyRunnerRejectsBeaverWithoutDealer) {
+  InProcessMesh mesh(1);
   const ScanWorkload workload = SmallWorkload();
   SecureScanOptions options;
-  const auto out = RunPartySecureScan(&net, workload.parties[0], options);
+  options.projection = ProjectionSecurity::kBeaverDotProducts;
+  const auto out =
+      RunPartySecureScan(mesh.endpoint(0), workload.parties[0], options);
   ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.status().code(), StatusCode::kUnimplemented);
 }
 
-TEST(CrossBackendTest, InProcessRunRejectsPartyBoundTransport) {
-  // A party-bound transport cannot drive the all-party simulator; use a
-  // 1-party TCP transport (needs no sockets) as the probe.
-  ClusterConfig cluster;
-  cluster.endpoints.push_back({"127.0.0.1", 1});
-  auto transport = TcpTransport::Connect(cluster, 0);
-  ASSERT_TRUE(transport.ok()) << transport.status();
-  ScanWorkload workload = SmallWorkload();
-  workload.parties.resize(1);
-  const auto out = SecureAssociationScan().Run(workload.parties,
-                                               transport.value().get());
+TEST(CrossBackendTest, SimulatorRejectsMeshOfTheWrongSize) {
+  InProcessMesh mesh(2);
+  const ScanWorkload workload = SmallWorkload();
+  const auto out = SecureAssociationScan().Run(workload.parties, &mesh);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
