@@ -7,17 +7,19 @@
 // and the SMC layer touches only O(M) aggregates, independent of N. The
 // E2 series should show the ratio tending to ~1 as N grows.
 //
-// --kernel-bench times the sufficient-statistics kernels themselves:
-// the original scalar kernel (ComputeLocalStatsScalar), the portable
-// blocked kernel pinned to the portable ISA (`blocked/*` — the
-// machine-normalization denominator), the auto-dispatched zero-copy
-// arena form (`flat/*`), every SIMD dense path this CPU can run
-// (`avx2/*`, `avx512/*`), and the 2-bit packed-genotype popcount
+// --kernel-bench times the sufficient-statistics kernels themselves,
+// each writing the same wire-order arena: the original scalar kernel
+// (ComputeLocalStatsScalar), the dense-only blocked kernel
+// (ComputeLocalStatsDense) pinned to the portable ISA (`blocked/*` —
+// the machine-normalization denominator), the auto-dispatched
+// ComputeLocalStatsFlat (`flat/*`), every SIMD dense path this CPU can
+// run (`avx2/*`, `avx512/*`), and the 2-bit packed-genotype popcount
 // kernels in pre-packed steady state (`packed/*`,
 // `packed_<isa>/genotype`) — plus the sparse-storage kernels, where
-// `sparse_packed/genotype` is ComputeLocalStatsSparse's dosage repack
-// path. Every variant's result checksum is asserted equal to the
-// scalar kernel's — the bench doubles as a bit-identity smoke test.
+// `sparse_packed/genotype` is ComputeLocalStatsFlat(SparseColumnMatrix)'s
+// dosage repack path. Every variant's WireChecksum is asserted equal
+// to the scalar kernel's — the bench doubles as a bit-identity smoke
+// test.
 // With --json PATH the numbers are written in the bench_json.h schema
 // for bench/compare_bench.py; the JSON carries an `isas` list so the
 // gate can skip (not fail) ISA entries a smaller runner cannot produce.
@@ -216,7 +218,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
   uint64_t blocked_sum = 0;
   uint64_t flat_sum = 0;
   const double scalar_s = TimeBest(a.reps, &scalar_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsScalar(x, y, q));
+    return WireChecksum(ComputeLocalStatsScalar(x, y, q));
   });
   AddEntry(entries, a, "scalar/" + dataset, scalar_s, scalar_sum);
   // `blocked/*` is the pre-SIMD portable blocked kernel, pinned to the
@@ -226,7 +228,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
   {
     ScopedIsa pin(kernels::StatsIsa::kPortable);
     blocked_s = TimeBest(a.reps, &blocked_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
   }
   AddEntry(entries, a, "blocked/" + dataset, blocked_s, blocked_sum);
@@ -243,7 +245,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsDense(x, y, q));
     });
     AddEntry(entries, a,
              std::string(kernels::StatsIsaName(isa)) + "/" + dataset, isa_s,
@@ -269,7 +271,7 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
               packed.Density());
   uint64_t packed_sum = 0;
   const double packed_s = TimeBest(a.reps, &packed_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsPacked(packed, y, q));
+    return WireChecksum(ComputeLocalStatsFlat(packed, y, q));
   });
   AddEntry(entries, a, "packed/genotype", packed_s, packed_sum);
   DASH_CHECK(scalar_sum == packed_sum)
@@ -278,7 +280,7 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
-      return StatsChecksum(ComputeLocalStatsPacked(packed, y, q));
+      return WireChecksum(ComputeLocalStatsFlat(packed, y, q));
     });
     AddEntry(entries, a,
              std::string("packed_") + kernels::StatsIsaName(isa) +
@@ -359,19 +361,19 @@ int RunKernelBench(const KernelArgs& a) {
   BenchPacked(a, x_geno, y, q, geno_scalar_sum, &entries);
 
   // Sparse-storage kernels on the same genotype draw. The optimized
-  // path (ComputeLocalStatsSparse) repacks dosage columns into the
-  // 2-bit layout and runs the popcount kernel.
+  // path (ComputeLocalStatsFlat on sparse storage) repacks dosage
+  // columns into the 2-bit layout and runs the popcount kernel.
   const SparseColumnMatrix x_sparse = SparseColumnMatrix::FromDense(x_geno);
   std::printf("-- genotype, sparse storage (density %.2f) --\n",
               x_sparse.Density());
   uint64_t sp_scalar_sum = 0;
   uint64_t sp_packed_sum = 0;
   const double sp_scalar_s = TimeBest(a.reps, &sp_scalar_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsSparseScalar(x_sparse, y, q));
+    return WireChecksum(ComputeLocalStatsSparseScalar(x_sparse, y, q));
   });
   AddEntry(&entries, a, "sparse_scalar/genotype", sp_scalar_s, sp_scalar_sum);
   const double sp_packed_s = TimeBest(a.reps, &sp_packed_sum, [&] {
-    return StatsChecksum(ComputeLocalStatsSparse(x_sparse, y, q));
+    return WireChecksum(ComputeLocalStatsFlat(x_sparse, y, q));
   });
   AddEntry(&entries, a, "sparse_packed/genotype", sp_packed_s,
            sp_packed_sum);

@@ -41,6 +41,7 @@
 #include "transport/party_runner.h"
 #include "transport/session_mux.h"
 #include "transport/tcp_transport.h"
+#include "util/fnv1a.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -163,11 +164,11 @@ double Percentile(std::vector<double> values, double pct) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
+// FNV-1a over whole 64-bit words rather than bytes (Fnv1aBytes would
+// give different, unpinned values), with the tree's basis and prime.
 uint64_t CombineChecksums(const std::vector<uint64_t>& checksums) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  for (const uint64_t c : checksums) {
-    h = (h ^ c) * 1099511628211ull;
-  }
+  uint64_t h = kDashFnvBasis;
+  for (const uint64_t c : checksums) h = (h ^ c) * kFnvPrime;
   return h;
 }
 

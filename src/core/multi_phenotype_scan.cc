@@ -15,7 +15,7 @@ namespace {
 
 // Phenotype-side statistics for one block: for each phenotype t, the
 // scalar y_t.y_t, the K-vector Qᵀy_t, and the M-vector X.y_t. The
-// X-side statistics (X.X, QᵀX) live in ScanSufficientStats and are
+// X-side statistics (X.X, QᵀX) come from one summand arena and are
 // shared across phenotypes.
 struct PhenotypeSideStats {
   Vector yy;    // length T
@@ -38,9 +38,16 @@ PhenotypeSideStats ComputePhenotypeSide(const Matrix& x, const Matrix& ys,
   return s;
 }
 
-// Flat layout: [T, then per t: yy | qty(K) | xy(M)] ++ [xx(M) | qtx(K*M)].
-Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& xx,
-                    const Matrix& qtx) {
+// A summand arena against a zero phenotype: only its X-side blocks
+// (xx, qtx) carry information.
+Vector XSideArena(const Matrix& x, const Matrix& q, ThreadPool* pool) {
+  const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
+  return ComputeLocalStatsFlat(x, zero_y, q, pool);
+}
+
+// Flat layout: [T, then per t: yy | qty(K) | xy(M)] ++ [xx(M) | qtx(K*M)],
+// the X-side block being the contiguous [xx | qtx] tail of `x_arena`.
+Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& x_arena) {
   const int64_t t_count = static_cast<int64_t>(ps.yy.size());
   const int64_t k = ps.qty.rows();
   const int64_t m = ps.xy.rows();
@@ -51,8 +58,9 @@ Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& xx,
     for (int64_t kk = 0; kk < k; ++kk) flat.push_back(ps.qty(kk, t));
     for (int64_t j = 0; j < m; ++j) flat.push_back(ps.xy(j, t));
   }
-  flat.insert(flat.end(), xx.begin(), xx.end());
-  flat.insert(flat.end(), qtx.data(), qtx.data() + qtx.size());
+  const StatsWireLayout layout{m, k};
+  flat.insert(flat.end(), x_arena.begin() + layout.xx_offset(),
+              x_arena.end());
   return flat;
 }
 
@@ -119,9 +127,7 @@ Result<std::vector<ScanResult>> PartyMultiPhenotypeScan(
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
-  const Vector zero_y(static_cast<size_t>(party.num_samples()), 0.0);
-  const ScanSufficientStats shared =
-      ComputeLocalStats(party.x, zero_y, basis.q_p, pool.get());
+  const Vector x_arena = XSideArena(party.x, basis.q_p, pool.get());
   const PhenotypeSideStats ps = ComputePhenotypeSide(party.x, party.ys,
                                                      basis.q_p);
   SecureSumOptions sum_options;
@@ -131,7 +137,7 @@ Result<std::vector<ScanResult>> PartyMultiPhenotypeScan(
   PartySecureVectorSum secure_sum(transport, sum_options);
   DASH_ASSIGN_OR_RETURN(Vector flat_totals,
                         secure_sum.Run(Secret<Vector>(
-                            FlattenMulti(ps, shared.xx, shared.qtx))));
+                            FlattenMulti(ps, x_arena))));
   return FinalizeAll(flat_totals, basis.total_samples, party.x.cols(),
                      party.c.cols(), party.ys.cols());
 }
@@ -153,15 +159,12 @@ Result<std::vector<ScanResult>> MultiPhenotypeScan(const Matrix& x,
     DASH_ASSIGN_OR_RETURN(QrDecomposition qr, ThinQr(c));
     q = std::move(qr.q);
   }
-  // Shared X-side statistics (dummy y).
   std::unique_ptr<ThreadPool> pool;
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
-  const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
-  ScanSufficientStats shared = ComputeLocalStats(x, zero_y, q, pool.get());
   const PhenotypeSideStats ps = ComputePhenotypeSide(x, ys, q);
-  const Vector flat = FlattenMulti(ps, shared.xx, shared.qtx);
+  const Vector flat = FlattenMulti(ps, XSideArena(x, q, pool.get()));
   return FinalizeAll(flat, x.rows(), x.cols(), c.cols(), ys.cols());
 }
 

@@ -23,13 +23,9 @@ Result<Matrix> PartyLocalRFactor(const PartyData& party);
 // Stage 2: the party's rows of the global Q, via Q_p = C_p R⁻¹.
 Matrix PartyLocalQ(const PartyData& party, const Matrix& r_inverse);
 
-// Stage 3: the party's sufficient-statistic summand.
-ScanSufficientStats PartyLocalStats(const PartyData& party, const Matrix& q_p,
-                                    ThreadPool* pool = nullptr);
-
-// Stage 3, zero-copy form: the summand computed directly into a
-// wire-order arena (StatsWireLayout over the party's M, K) ready for
-// the secure sum — no FlattenStats copy.
+// Stage 3: the party's sufficient-statistic summand, computed directly
+// into a wire-order arena (StatsWireLayout over the party's M, K) ready
+// for the secure sum.
 Vector PartyLocalStatsFlat(const PartyData& party, const Matrix& q_p,
                            ThreadPool* pool = nullptr);
 

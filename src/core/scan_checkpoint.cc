@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/panel_stream.h"
+#include "util/fnv1a.h"
 
 namespace dash {
 namespace {

@@ -1,12 +1,12 @@
 #include "core/scan_result.h"
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 
 #include "stats/distributions.h"
 #include "util/csv.h"
+#include "util/fnv1a.h"
 #include "util/strings.h"
 
 namespace dash {
@@ -120,28 +120,12 @@ Result<ScanResult> FinalizeScan(const ScanSufficientStats& totals) {
   return FinalizeScanProjected(proj);
 }
 
-namespace {
-
-uint64_t ChecksumVector(uint64_t h, const Vector& v) {
-  for (const double x : v) {
-    uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (bits >> b) & 0xFFu;
-      h *= 0x100000001B3ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace
-
 uint64_t ScanResultChecksum(const ScanResult& result) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  h = ChecksumVector(h, result.beta);
-  h = ChecksumVector(h, result.se);
-  h = ChecksumVector(h, result.tstat);
-  h = ChecksumVector(h, result.pval);
+  uint64_t h = kFnv1aOffsetBasis;
+  for (const Vector* v : {&result.beta, &result.se, &result.tstat,
+                          &result.pval}) {
+    h = Fnv1aBytes(v->data(), v->size() * sizeof(double), h);
+  }
   return h;
 }
 

@@ -33,15 +33,6 @@ SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic) {
 SecureAssociationScan::SecureAssociationScan(const SecureScanOptions& options)
     : options_(options) {}
 
-Result<ScanResult> FinalizeScanWithAbsorbedParams(
-    const ScanSufficientStats& totals, int64_t absorbed_params) {
-  // dof = N − K − 1 − absorbed; fold the absorbed parameters into the
-  // sample count seen by the standard finalization.
-  ScanSufficientStats adjusted = totals;
-  adjusted.num_samples -= absorbed_params;
-  return FinalizeScan(adjusted);
-}
-
 Result<SecureScanOutput> SecureAssociationScan::Run(
     const std::vector<PartyData>& parties) const {
   DASH_RETURN_IF_ERROR(ValidateParties(parties));

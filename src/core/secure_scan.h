@@ -9,7 +9,7 @@
 //   2. one secure-sum aggregation of the sufficient statistics
 //      (1 + K + 2M + K*M values) — O(M) per link, independent of N.
 //
-// Per-party computation is the same ComputeLocalStats kernel the
+// Per-party computation is the same ComputeLocalStatsFlat kernel the
 // plaintext scan uses, which is the paper's "plaintext speed" property;
 // the traffic counters exported in SecureScanOutput back the O(M)
 // communication claim (experiments E2 and E3).
@@ -153,12 +153,6 @@ class SecureAssociationScan {
  private:
   SecureScanOptions options_;
 };
-
-// Extends FinalizeScan with preprocessing-absorbed parameters: dof =
-// N − K − 1 − absorbed_params (absorbed_params = P when per-party
-// centering stands in for P batch indicators).
-Result<ScanResult> FinalizeScanWithAbsorbedParams(
-    const ScanSufficientStats& totals, int64_t absorbed_params);
 
 }  // namespace dash
 

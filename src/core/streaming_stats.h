@@ -2,18 +2,18 @@
 // (DESIGN.md §15).
 //
 // ComputeLocalStatsStreamed is the streaming sibling of
-// ComputeLocalStatsPackedFlat: it folds the genotype matrix into the
-// wire-order accumulator one kStudyPanelRows-row panel at a time from a
-// PanelSource (a DASHPACK file, or an in-memory matrix), instead of
-// requiring all of X resident. Its correctness contract is the strong
-// one the rest of the tree relies on:
+// ComputeLocalStatsFlat(PackedGenotypeMatrix): it folds the genotype
+// matrix into the wire-order accumulator one kStudyPanelRows-row panel
+// at a time from a PanelSource (a DASHPACK file, or an in-memory
+// matrix), instead of requiring all of X resident. Its correctness
+// contract is the strong one the rest of the tree relies on:
 //
 //   BIT-IDENTITY. The streamed flat vector equals the in-memory
-//   ComputeLocalStatsPackedFlat result bit for bit, on every kernel
-//   ISA. This falls out of the kernels' accumulate-into-out contract
-//   (suff_stats.h): each per-element IEEE-754 add chain is spilled to
-//   the arena at panel boundaries and re-seeded by the next call, and
-//   panels are exactly the kernels' own row-panel granularity
+//   ComputeLocalStatsFlat(PackedGenotypeMatrix) result bit for bit, on
+//   every kernel ISA. This falls out of the kernels' accumulate-into-
+//   out contract (suff_stats.h): each per-element IEEE-754 add chain is
+//   spilled to the arena at panel boundaries and re-seeded by the next
+//   call, and panels are exactly the kernels' own row-panel granularity
 //   (kStatsRowPanel == kStudyPanelRows), so streaming changes where
 //   the accumulator LIVES between rows, never the order or rounding of
 //   any add. X·X is integer-exact throughout. y and the covariate

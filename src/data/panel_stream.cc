@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/fnv1a.h"
 
 namespace dash {
 namespace {
@@ -143,15 +144,6 @@ Status FsyncDirOf(const std::string& path) {
 }
 
 }  // namespace
-
-uint64_t Fnv1aBytes(const void* data, size_t len, uint64_t h) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<uint64_t>(p[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 Status AtomicWriteFile(const std::string& path, const void* data, size_t len) {
   const std::string tmp = path + ".tmp";

@@ -56,11 +56,6 @@ namespace dash {
 // (core/streaming_stats.cc static_asserts the two constants agree).
 inline constexpr int64_t kStudyPanelRows = 256;
 
-// FNV-1a over raw bytes; the same parameters as core's WireChecksum so
-// checksums of a panel's word image are comparable across layers.
-uint64_t Fnv1aBytes(const void* data, size_t len,
-                    uint64_t h = 1469598103934665603ULL);
-
 // Atomic durable small-file write: the bytes land under `path` via
 // tmp-file write + fsync + rename + directory fsync, so a crash at any
 // point leaves either the old file or the complete new one — never a

@@ -1,5 +1,6 @@
 #include "transport/party_runner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "net/abort.h"
 #include "net/round_annotations.h"
 #include "net/serialization.h"
+#include "util/fnv1a.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -27,34 +29,20 @@ namespace {
 
 // Local-only digest of everything Phase 1 depends on: the party's
 // (preprocessed) covariate slab, its sample count, and the Phase-1
-// options that change the pooled R. FNV-1a over the raw little-endian
-// double bits — bit-exact equality is the right notion, because the
-// cached Q_p must reproduce the original transcript bit for bit. The
-// digest never leaves the process; the kPhase1Probe round only carries
-// a have/have-not bit.
+// options that change the pooled R. FNV-1a over the raw double bits —
+// bit-exact equality is the right notion, because the cached Q_p must
+// reproduce the original transcript bit for bit. The digest never
+// leaves the process; the kPhase1Probe round only carries a
+// have/have-not bit.
 uint64_t Phase1Fingerprint(const PartyData& party, int64_t absorbed_params,
                            const SecureScanOptions& options) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  const auto mix64 = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xFFu;
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix64(static_cast<uint64_t>(party.num_samples()));
-  mix64(static_cast<uint64_t>(party.c.cols()));
-  mix64(static_cast<uint64_t>(absorbed_params));
-  mix64(static_cast<uint64_t>(options.r_combine));
-  for (int64_t i = 0; i < party.c.rows(); ++i) {
-    for (int64_t j = 0; j < party.c.cols(); ++j) {
-      uint64_t bits = 0;
-      const double v = party.c(i, j);
-      static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      mix64(bits);
-    }
-  }
-  return h;
+  const uint64_t header[] = {static_cast<uint64_t>(party.num_samples()),
+                             static_cast<uint64_t>(party.c.cols()),
+                             static_cast<uint64_t>(absorbed_params),
+                             static_cast<uint64_t>(options.r_combine)};
+  const uint64_t h = Fnv1aBytes(header, sizeof(header));
+  return Fnv1aBytes(party.c.data(),
+                    static_cast<size_t>(party.c.size()) * sizeof(double), h);
 }
 
 // The protocol proper; RunPartySecureScan wraps it with the abort
@@ -88,8 +76,8 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     }
     if (beaver) {
       return InvalidArgumentError(
-          "streamed scan: the Beaver projection needs the structured "
-          "summands; stream with kRevealProjectedSums");
+          "streamed scan: the Beaver projection needs X in memory; "
+          "stream with kRevealProjectedSums");
     }
     if (stream->source->num_samples() != input_party.num_samples()) {
       return InvalidArgumentError(
@@ -105,6 +93,8 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   // Per-party preprocessing: centering is a within-party operation.
   const PartyData* party = &input_party;
   std::vector<PartyData> centered;
+  // Model parameters the preprocessing absorbed: both Phase-2 branches
+  // finalize with dof = N − K − 1 − absorbed_params.
   int64_t absorbed_params = 0;
   if (options.center_per_party) {
     for (int64_t j = 0; j < input_party.c.cols(); ++j) {
@@ -229,12 +219,19 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     // summed as usual, but the projected K-vectors never leave the party
     // — only their dot products are opened.
     local_timer.Reset();
-    ScanSufficientStats stats = PartyLocalStats(*party, q_p, pool.get());
+    const Vector arena = PartyLocalStatsFlat(*party, q_p, pool.get());
+    const StatsWireLayout layout{m, k};
+    // [yy | xy | xx]: the header's yy, then xy and xx, which sit
+    // contiguously in the arena.
     Vector plain;
     plain.reserve(static_cast<size_t>(1 + 2 * m));
-    plain.push_back(stats.yy);
-    plain.insert(plain.end(), stats.xy.begin(), stats.xy.end());
-    plain.insert(plain.end(), stats.xx.begin(), stats.xx.end());
+    plain.push_back(arena[static_cast<size_t>(layout.yy_offset())]);
+    plain.insert(plain.end(), arena.begin() + layout.xy_offset(),
+                 arena.begin() + layout.qtx_offset());
+    Vector qty(arena.begin() + layout.qty_offset(),
+               arena.begin() + layout.xy_offset());
+    Matrix qtx(k, m);
+    std::copy(arena.begin() + layout.qtx_offset(), arena.end(), qtx.data());
     local_seconds += local_timer.ElapsedSeconds();
 
     protocol_timer.Reset();
@@ -242,8 +239,8 @@ Result<SecureScanOutput> RunPartyScanProtocol(
                           secure_sum.Run(Secret<Vector>(std::move(plain))));
     DASH_ASSIGN_OR_RETURN(
         ProjectedStats projected,
-        PartySecureProjection(transport, Secret<Vector>(std::move(stats.qty)),
-                              Secret<Matrix>(std::move(stats.qtx)),
+        PartySecureProjection(transport, Secret<Vector>(std::move(qty)),
+                              Secret<Matrix>(std::move(qtx)),
                               *beaver_triples, options.projection_frac_bits));
     protocol_seconds += protocol_timer.ElapsedSeconds();
 
@@ -303,9 +300,8 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     local_timer.Reset();
     DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
                           UnflattenStats(flat_totals, m, k));
-    totals.num_samples = total_samples;
-    DASH_ASSIGN_OR_RETURN(
-        result, FinalizeScanWithAbsorbedParams(totals, absorbed_params));
+    totals.num_samples = total_samples - absorbed_params;
+    DASH_ASSIGN_OR_RETURN(result, FinalizeScan(totals));
     local_seconds += local_timer.ElapsedSeconds();
   }
 

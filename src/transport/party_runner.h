@@ -141,8 +141,9 @@ struct StreamingPartyScan {
 // covariates C stay RAM-resident (they are all Phases 0–1 need), X
 // streams from stream.source during Phase 2. Incompatible with
 // center_per_party (X is immutable on disk — pre-center before
-// packing) and with the Beaver projection. On success the checkpoint file, if any, is removed; on failure
-// it is left behind so the next run resumes.
+// packing) and with the Beaver projection. On success the checkpoint
+// file, if any, is removed; on failure it is left behind so the next
+// run resumes.
 Result<SecureScanOutput> RunPartySecureScanStreamed(
     Transport* transport, const Vector& y, const Matrix& c,
     const StreamingPartyScan& stream, const SecureScanOptions& options,

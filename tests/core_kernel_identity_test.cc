@@ -50,11 +50,9 @@ void ExpectBitIdentical(const Vector& a, const Vector& b, const char* what) {
   }
 }
 
-void ExpectStatsBitIdentical(const ScanSufficientStats& a,
-                             const ScanSufficientStats& b) {
-  EXPECT_EQ(a.num_samples, b.num_samples);
-  ExpectBitIdentical(FlattenStats(a), FlattenStats(b), "wire image");
-  EXPECT_EQ(StatsChecksum(a), StatsChecksum(b));
+void ExpectArenaBitIdentical(const Vector& a, const Vector& b) {
+  ExpectBitIdentical(a, b, "wire image");
+  EXPECT_EQ(WireChecksum(a), WireChecksum(b));
 }
 
 Matrix MakeQ(int64_t n, int64_t k, Rng* rng) {
@@ -79,7 +77,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarGaussian) {
       const Vector y = GaussianVector(n, &rng);
       const Matrix q = MakeQ(n, 3, &rng);
       SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
-      ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+      ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                               ComputeLocalStatsScalar(x, y, q));
     }
   }
@@ -100,7 +98,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarGenotype) {
     const Vector y = GaussianVector(301, &rng);
     const Matrix q = MakeQ(301, 4, &rng);
     SCOPED_TRACE("m=" + std::to_string(m));
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                             ComputeLocalStatsScalar(x, y, q));
   }
 }
@@ -110,7 +108,7 @@ TEST(KernelIdentityTest, BlockedMatchesScalarZeroCovariates) {
   const Matrix x = GaussianMatrix(260, 130, &rng);
   const Vector y = GaussianVector(260, &rng);
   const Matrix q(260, 0);
-  ExpectStatsBitIdentical(ComputeLocalStats(x, y, q),
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                           ComputeLocalStatsScalar(x, y, q));
 }
 
@@ -119,25 +117,9 @@ TEST(KernelIdentityTest, ThreadPoolDoesNotChangeBits) {
   const Matrix x = GaussianMatrix(300, 300, &rng);
   const Vector y = GaussianVector(300, &rng);
   const Matrix q = MakeQ(300, 5, &rng);
-  const ScanSufficientStats serial = ComputeLocalStats(x, y, q);
+  const Vector serial = ComputeLocalStatsFlat(x, y, q);
   ThreadPool pool(4);
-  ExpectStatsBitIdentical(ComputeLocalStats(x, y, q, &pool), serial);
-  ExpectBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool),
-                     FlattenStats(serial), "flat arena (pool)");
-}
-
-TEST(KernelIdentityTest, FlatArenaMatchesFlattenedScalar) {
-  for (const int64_t m : kVariantSizes) {
-    Rng rng(static_cast<uint64_t>(m) + 7);
-    const Matrix x = GaussianMatrix(257, m, &rng);
-    const Vector y = GaussianVector(257, &rng);
-    const Matrix q = MakeQ(257, 3, &rng);
-    SCOPED_TRACE("m=" + std::to_string(m));
-    const Vector flat = ComputeLocalStatsFlat(x, y, q);
-    const Vector reference = FlattenStats(ComputeLocalStatsScalar(x, y, q));
-    ExpectBitIdentical(flat, reference, "flat arena");
-    EXPECT_EQ(WireChecksum(flat), WireChecksum(reference));
-  }
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), serial);
 }
 
 TEST(KernelIdentityTest, SparseBlockedMatchesSparseScalar) {
@@ -151,14 +133,68 @@ TEST(KernelIdentityTest, SparseBlockedMatchesSparseScalar) {
   Rng rng(29);
   const Vector y = GaussianVector(400, &rng);
   const Matrix q = MakeQ(400, 4, &rng);
-  ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q),
-                          ComputeLocalStatsSparseScalar(x, y, q));
-  ExpectBitIdentical(ComputeLocalStatsSparseFlat(x, y, q),
-                     FlattenStats(ComputeLocalStatsSparseScalar(x, y, q)),
-                     "sparse flat arena");
+  const Vector want = ComputeLocalStatsSparseScalar(x, y, q);
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
   ThreadPool pool(3);
-  ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q, &pool),
-                          ComputeLocalStatsSparseScalar(x, y, q));
+  ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), want);
+}
+
+// ---- Golden wire checksums ----
+//
+// Every other test here compares kernels against the scalar reference
+// at run time, so a change that moved the reference and the kernels in
+// step (say, through the shared arena builder) would still pass. These
+// recorded constants pin the absolute wire image of one fixed-seed
+// gaussian and one fixed-seed genotype workload, on every kernel and
+// both references. Re-baselining them needs a stated reason in the
+// change that does it.
+constexpr uint64_t kGoldenGaussianWire = 0x48535b6495ac5a7aULL;
+constexpr uint64_t kGoldenGenotypeWire = 0x37d1f4d7e7f244adULL;
+
+TEST(KernelIdentityTest, GoldenWireChecksumGaussian) {
+  const int64_t n = 300, m = 200;
+  Rng rng(0x601de);
+  const Matrix x = GaussianMatrix(n, m, &rng);
+  const Vector y = GaussianVector(n, &rng);
+  const Matrix q = MakeQ(n, 4, &rng);
+  EXPECT_EQ(WireChecksum(ComputeLocalStatsScalar(x, y, q)),
+            kGoldenGaussianWire);
+  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
+    ScopedIsa pin(isa);
+    SCOPED_TRACE(kernels::StatsIsaName(isa));
+    EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(x, y, q)),
+              kGoldenGaussianWire);
+  }
+}
+
+TEST(KernelIdentityTest, GoldenWireChecksumGenotype) {
+  const int64_t n = 300, m = 200;
+  GenotypeOptions geno;
+  geno.num_samples = n;
+  geno.num_variants = m;
+  geno.maf_min = 0.01;
+  geno.maf_max = 0.4;
+  geno.seed = 0x601de;
+  const Matrix x = GenerateGenotypes(geno);
+  Rng rng(0x9e1);
+  const Vector y = GaussianVector(n, &rng);
+  const Matrix q = MakeQ(n, 4, &rng);
+  const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
+  const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
+  EXPECT_EQ(WireChecksum(ComputeLocalStatsScalar(x, y, q)),
+            kGoldenGenotypeWire);
+  EXPECT_EQ(WireChecksum(ComputeLocalStatsSparseScalar(sparse, y, q)),
+            kGoldenGenotypeWire);
+  for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
+    ScopedIsa pin(isa);
+    SCOPED_TRACE(kernels::StatsIsaName(isa));
+    EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(x, y, q)),
+              kGoldenGenotypeWire);
+    EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(packed, y, q)),
+              kGoldenGenotypeWire);
+    EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(sparse, y, q)),
+              kGoldenGenotypeWire);
+  }
 }
 
 // ---- ISA sweep: every dispatchable kernel table, every storage ----
@@ -174,7 +210,7 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
         const Vector y = GaussianVector(n, &rng);
         const Matrix q = MakeQ(n, 3, &rng);
         SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q),
+        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q),
                                 ComputeLocalStatsScalar(x, y, q));
       }
     }
@@ -184,8 +220,8 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
 TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
   // One genotype draw per shape; each ISA must reproduce the scalar
   // kernel bit for bit through the auto path (which packs dosage
-  // blocks), the pre-packed path, the dense no-pack path, the flat
-  // arena, and the sparse repack path.
+  // blocks), the pre-packed path, the dense no-pack path, and the
+  // sparse repack path.
   for (const int64_t m : kVariantSizes) {
     for (const int64_t n : {33, 301}) {
       GenotypeOptions geno;
@@ -198,21 +234,17 @@ TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
       Rng rng(static_cast<uint64_t>(m) + 99);
       const Vector y = GaussianVector(n, &rng);
       const Matrix q = MakeQ(n, 4, &rng);
-      const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+      const Vector want = ComputeLocalStatsScalar(x, y, q);
       const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
       const SparseColumnMatrix sparse = SparseColumnMatrix::FromDense(x);
       for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
         ScopedIsa pin(isa);
         SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
                      " n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectStatsBitIdentical(ComputeLocalStats(x, y, q), want);
-        ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-        ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
-        ExpectBitIdentical(ComputeLocalStatsFlat(x, y, q),
-                           FlattenStats(want), "flat arena");
-        ExpectBitIdentical(ComputeLocalStatsPackedFlat(packed, y, q),
-                           FlattenStats(want), "packed flat arena");
-        ExpectStatsBitIdentical(ComputeLocalStatsSparse(sparse, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(sparse, y, q), want);
       }
     }
   }
@@ -236,14 +268,14 @@ TEST(KernelIdentityTest, IsaSweepCovariateWidths) {
     Rng rng(static_cast<uint64_t>(k) + 77);
     const Vector y = GaussianVector(300, &rng);
     const Matrix q = MakeQ(300, k, &rng);
-    const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+    const Vector want = ComputeLocalStatsScalar(x, y, q);
     const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
     for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
       ScopedIsa pin(isa);
       SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
                    " k=" + std::to_string(k));
-      ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-      ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
     }
   }
 }
@@ -272,13 +304,13 @@ TEST(KernelIdentityTest, IsaSweepAllZeroAndAllMissingColumns) {
   const Matrix x = packed.ToDense();
   const Vector y = GaussianVector(n, &rng);
   const Matrix q = MakeQ(n, 4, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+  const Vector want = ComputeLocalStatsScalar(x, y, q);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q), want);
-    ExpectStatsBitIdentical(ComputeLocalStatsDense(x, y, q), want);
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
   }
 }
 
@@ -297,13 +329,11 @@ TEST(KernelIdentityTest, IsaSweepSparseNonDosageFallsBack) {
   Rng rng(29);
   const Vector y = GaussianVector(400, &rng);
   const Matrix q = MakeQ(400, 4, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsSparseScalar(x, y, q);
+  const Vector want = ComputeLocalStatsSparseScalar(x, y, q);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsSparse(x, y, q), want);
-    ExpectBitIdentical(ComputeLocalStatsSparseFlat(x, y, q),
-                       FlattenStats(want), "sparse flat arena");
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
   }
 }
 
@@ -318,16 +348,15 @@ TEST(KernelIdentityTest, IsaSweepThreadPoolAndPackedRoundTrip) {
   Rng rng(71);
   const Vector y = GaussianVector(600, &rng);
   const Matrix q = MakeQ(600, 5, &rng);
-  const ScanSufficientStats want = ComputeLocalStatsScalar(x, y, q);
+  const Vector want = ComputeLocalStatsScalar(x, y, q);
   const PackedGenotypeMatrix packed = PackedGenotypeMatrix::FromDense(x);
   EXPECT_TRUE(packed.ToDense() == x);
   ThreadPool pool(4);
   for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
-    ExpectStatsBitIdentical(ComputeLocalStatsPacked(packed, y, q, &pool),
-                            want);
-    ExpectStatsBitIdentical(ComputeLocalStats(x, y, q, &pool), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q, &pool), want);
+    ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), want);
   }
 }
 
@@ -340,7 +369,8 @@ TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
   const Matrix x = GaussianMatrix(n, m, &rng);
   const Vector y = GaussianVector(n, &rng);
   const Matrix q = MakeQ(n, k, &rng);
-  const ScanSufficientStats full = ComputeLocalStatsScalar(x, y, q);
+  const Vector full = ComputeLocalStatsScalar(x, y, q);
+  const StatsWireLayout layout{m, k};
   const struct { int64_t begin, end; } ranges[] = {
       {0, 200}, {0, 1}, {199, 200}, {13, 141}, {128, 200}, {50, 50}};
   for (const auto& r : ranges) {
@@ -355,11 +385,12 @@ TEST(KernelIdentityTest, ColumnRangeMatchesFullComputation) {
                                        buf.data() + 2 * w, w});
     for (int64_t j = 0; j < w; ++j) {
       Vector got{buf[static_cast<size_t>(j)], buf[static_cast<size_t>(w + j)]};
-      Vector want{full.xy[static_cast<size_t>(r.begin + j)],
-                  full.xx[static_cast<size_t>(r.begin + j)]};
+      Vector want{full[static_cast<size_t>(layout.xy_offset() + r.begin + j)],
+                  full[static_cast<size_t>(layout.xx_offset() + r.begin + j)]};
       for (int64_t kk = 0; kk < k; ++kk) {
         got.push_back(buf[static_cast<size_t>((2 + kk) * w + j)]);
-        want.push_back(full.qtx(kk, r.begin + j));
+        want.push_back(full[static_cast<size_t>(layout.qtx_offset() +
+                                                kk * m + r.begin + j)]);
       }
       ExpectBitIdentical(got, want, "column slice");
     }

@@ -4,11 +4,12 @@
 // Three contracts, each pinned exactly:
 //
 //   1. IDENTITY. ComputeLocalStatsStreamed over any PanelSource equals
-//      ComputeLocalStatsPackedFlat on the same study bit for bit —
-//      across sample counts that straddle every panel boundary (N not
-//      a multiple of 256, one-row remainders), variant counts around
-//      the kernels' column blocks, every dispatchable ISA, file-backed
-//      sources in both read modes, prefetch on/off, and thread pools.
+//      ComputeLocalStatsFlat(PackedGenotypeMatrix) on the same study
+//      bit for bit — across sample counts that straddle every panel
+//      boundary (N not a multiple of 256, one-row remainders), variant
+//      counts around the kernels' column blocks, every dispatchable
+//      ISA, file-backed sources in both read modes, prefetch on/off,
+//      and thread pools.
 //
 //   2. RESUME. Killing the stream after ANY panel (fail_after_panels
 //      sweeps every crash point) and re-running from the surviving
@@ -91,7 +92,7 @@ Study MakeStudy(int64_t n, int64_t m, int64_t k, uint64_t seed) {
 }
 
 Vector InMemoryReference(const Study& study) {
-  return ComputeLocalStatsPackedFlat(study.x, study.y, study.q);
+  return ComputeLocalStatsFlat(study.x, study.y, study.q);
 }
 
 std::string TempPath(const std::string& name) {

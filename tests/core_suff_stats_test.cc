@@ -26,10 +26,15 @@ Fixture MakeFixture(int64_t n, int64_t m, int64_t k, uint64_t seed) {
   return f;
 }
 
+// The structured view of an arena, for element-wise assertions.
+ScanSufficientStats Unflatten(const Vector& flat, int64_t m, int64_t k) {
+  return UnflattenStats(flat, m, k).value();
+}
+
 TEST(SuffStatsTest, MatchesDirectComputation) {
   const Fixture f = MakeFixture(30, 8, 3, 1);
-  const ScanSufficientStats s = ComputeLocalStats(f.x, f.y, f.q);
-  EXPECT_EQ(s.num_samples, 30);
+  const ScanSufficientStats s =
+      Unflatten(ComputeLocalStatsFlat(f.x, f.y, f.q), 8, 3);
   EXPECT_NEAR(s.yy, SquaredNorm(f.y), 1e-12);
   EXPECT_LT(MaxAbsDiff(s.qty, TransposeMatVec(f.q, f.y)), 1e-12);
   for (int64_t j = 0; j < 8; ++j) {
@@ -56,112 +61,54 @@ TEST(SuffStatsTest, SparseMatchesDense) {
   const Vector y = GaussianVector(60, &rng);
   const Matrix q = ThinQr(GaussianMatrix(60, 4, &rng)).value().q;
 
-  const ScanSufficientStats a = ComputeLocalStats(dense, y, q);
-  const ScanSufficientStats b = ComputeLocalStatsSparse(sparse, y, q);
-  EXPECT_EQ(a.num_samples, b.num_samples);
-  EXPECT_NEAR(a.yy, b.yy, 1e-12);
-  EXPECT_LT(MaxAbsDiff(a.qty, b.qty), 1e-12);
-  EXPECT_LT(MaxAbsDiff(a.xy, b.xy), 1e-12);
-  EXPECT_LT(MaxAbsDiff(a.xx, b.xx), 1e-12);
-  EXPECT_LT(MaxAbsDiff(a.qtx, b.qtx), 1e-12);
+  EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(dense, y, q)),
+            WireChecksum(ComputeLocalStatsFlat(sparse, y, q)));
 }
 
 TEST(SuffStatsTest, ThreadedMatchesSerial) {
   const Fixture f = MakeFixture(40, 33, 2, 4);
-  const ScanSufficientStats serial = ComputeLocalStats(f.x, f.y, f.q);
   ThreadPool pool(4);
-  const ScanSufficientStats threaded = ComputeLocalStats(f.x, f.y, f.q, &pool);
-  EXPECT_LT(MaxAbsDiff(serial.xy, threaded.xy), 0.0 + 1e-15);
-  EXPECT_LT(MaxAbsDiff(serial.xx, threaded.xx), 0.0 + 1e-15);
-  EXPECT_LT(MaxAbsDiff(serial.qtx, threaded.qtx), 0.0 + 1e-15);
-}
-
-TEST(SuffStatsTest, AddAccumulatesAcrossBlocks) {
-  const Fixture a = MakeFixture(20, 5, 2, 5);
-  const Fixture b = MakeFixture(30, 5, 2, 6);
-  ScanSufficientStats sa = ComputeLocalStats(a.x, a.y, a.q);
-  const ScanSufficientStats sb = ComputeLocalStats(b.x, b.y, b.q);
-  const double yy_expected = sa.yy + sb.yy;
-  sa.Add(sb);
-  EXPECT_EQ(sa.num_samples, 50);
-  EXPECT_NEAR(sa.yy, yy_expected, 1e-12);
-}
-
-TEST(SuffStatsTest, AddIntoEmptyCopies) {
-  const Fixture a = MakeFixture(10, 4, 2, 7);
-  const ScanSufficientStats sa = ComputeLocalStats(a.x, a.y, a.q);
-  ScanSufficientStats acc;
-  acc.Add(sa);
-  EXPECT_EQ(acc.num_samples, sa.num_samples);
-  EXPECT_LT(MaxAbsDiff(acc.xy, sa.xy), 0.0 + 1e-15);
-}
-
-TEST(SuffStatsTest, AddAccumulatesZeroVariantSummands) {
-  // Regression: the old empty-detection (`xy.empty() && qty.empty()`)
-  // only looked at shape vectors, so for an M == 0 scan every summand
-  // looked "empty" and each Add OVERWROTE the accumulator instead of
-  // accumulating — dropping all but the last party's yy and N.
-  ScanSufficientStats a;
-  a.num_samples = 10;
-  a.yy = 2.0;
-  a.qty = {1.0, 2.0};
-  a.qtx = Matrix(2, 0);
-  ScanSufficientStats b;
-  b.num_samples = 5;
-  b.yy = 3.0;
-  b.qty = {0.5, 0.25};
-  b.qtx = Matrix(2, 0);
-  a.Add(b);
-  EXPECT_EQ(a.num_samples, 15);
-  EXPECT_EQ(a.yy, 5.0);
-  EXPECT_EQ(a.qty[0], 1.5);
-  EXPECT_EQ(a.qty[1], 2.25);
-}
-
-TEST(SuffStatsTest, AddAccumulatesZeroVariantZeroCovariate) {
-  // M == 0 and K == 0: only yy and N carry information, and they must
-  // still accumulate rather than copy.
-  ScanSufficientStats a;
-  a.num_samples = 3;
-  a.yy = 1.5;
-  ScanSufficientStats b;
-  b.num_samples = 4;
-  b.yy = 2.5;
-  a.Add(b);
-  EXPECT_EQ(a.num_samples, 7);
-  EXPECT_EQ(a.yy, 4.0);
-  // A genuinely never-assigned accumulator still copies.
-  ScanSufficientStats fresh;
-  fresh.Add(a);
-  EXPECT_EQ(fresh.num_samples, 7);
-  EXPECT_EQ(fresh.yy, 4.0);
+  EXPECT_EQ(WireChecksum(ComputeLocalStatsFlat(f.x, f.y, f.q)),
+            WireChecksum(ComputeLocalStatsFlat(f.x, f.y, f.q, &pool)));
 }
 
 TEST(SuffStatsTest, ChecksumDetectsSingleBitDrift) {
   const Fixture f = MakeFixture(25, 6, 2, 11);
-  ScanSufficientStats s = ComputeLocalStats(f.x, f.y, f.q);
-  const uint64_t before = StatsChecksum(s);
-  EXPECT_EQ(before, WireChecksum(FlattenStats(s)));
-  // Flip the lowest mantissa bit of one element.
+  Vector flat = ComputeLocalStatsFlat(f.x, f.y, f.q);
+  const uint64_t before = WireChecksum(flat);
+  // Flip the lowest mantissa bit of one xy element.
+  const StatsWireLayout layout{6, 2};
+  double& xy3 = flat[static_cast<size_t>(layout.xy_offset() + 3)];
   uint64_t bits;
-  std::memcpy(&bits, &s.xy[3], sizeof(bits));
+  std::memcpy(&bits, &xy3, sizeof(bits));
   bits ^= 1;
-  std::memcpy(&s.xy[3], &bits, sizeof(bits));
-  EXPECT_NE(StatsChecksum(s), before);
+  std::memcpy(&xy3, &bits, sizeof(bits));
+  EXPECT_NE(WireChecksum(flat), before);
 }
 
-TEST(SuffStatsTest, FlattenUnflattenRoundTrips) {
+TEST(SuffStatsTest, UnflattenSlicesTheWireLayout) {
   const Fixture f = MakeFixture(15, 6, 3, 8);
-  const ScanSufficientStats s = ComputeLocalStats(f.x, f.y, f.q);
-  const Vector flat = FlattenStats(s);
+  const Vector flat = ComputeLocalStatsFlat(f.x, f.y, f.q);
+  const StatsWireLayout layout{6, 3};
+  ASSERT_EQ(static_cast<int64_t>(flat.size()), layout.total_len());
   EXPECT_EQ(flat.size(), static_cast<size_t>(1 + 3 + 2 * 6 + 3 * 6));
-  ScanSufficientStats back = UnflattenStats(flat, 6, 3).value();
-  back.num_samples = s.num_samples;
-  EXPECT_NEAR(back.yy, s.yy, 0.0);
-  EXPECT_LT(MaxAbsDiff(back.qty, s.qty), 0.0 + 1e-15);
-  EXPECT_LT(MaxAbsDiff(back.xy, s.xy), 0.0 + 1e-15);
-  EXPECT_LT(MaxAbsDiff(back.xx, s.xx), 0.0 + 1e-15);
-  EXPECT_LT(MaxAbsDiff(back.qtx, s.qtx), 0.0 + 1e-15);
+  const ScanSufficientStats s = Unflatten(flat, 6, 3);
+  EXPECT_EQ(s.num_samples, 0);  // public; the caller sets it
+  EXPECT_EQ(s.yy, flat[static_cast<size_t>(layout.yy_offset())]);
+  for (int64_t kk = 0; kk < 3; ++kk) {
+    EXPECT_EQ(s.qty[static_cast<size_t>(kk)],
+              flat[static_cast<size_t>(layout.qty_offset() + kk)]);
+  }
+  for (int64_t j = 0; j < 6; ++j) {
+    EXPECT_EQ(s.xy[static_cast<size_t>(j)],
+              flat[static_cast<size_t>(layout.xy_offset() + j)]);
+    EXPECT_EQ(s.xx[static_cast<size_t>(j)],
+              flat[static_cast<size_t>(layout.xx_offset() + j)]);
+    for (int64_t kk = 0; kk < 3; ++kk) {
+      EXPECT_EQ(s.qtx(kk, j),
+                flat[static_cast<size_t>(layout.qtx_offset() + kk * 6 + j)]);
+    }
+  }
 }
 
 TEST(SuffStatsTest, UnflattenRejectsWrongLength) {
@@ -173,11 +120,11 @@ TEST(SuffStatsTest, ZeroCovariateCase) {
   const Matrix x = GaussianMatrix(10, 3, &rng);
   const Vector y = GaussianVector(10, &rng);
   const Matrix q(10, 0);
-  const ScanSufficientStats s = ComputeLocalStats(x, y, q);
+  const Vector flat = ComputeLocalStatsFlat(x, y, q);
+  EXPECT_EQ(flat.size(), static_cast<size_t>(1 + 2 * 3));
+  const ScanSufficientStats s = Unflatten(flat, 3, 0);
   EXPECT_EQ(s.num_covariates(), 0);
   EXPECT_EQ(s.qtx.rows(), 0);
-  const Vector flat = FlattenStats(s);
-  EXPECT_TRUE(UnflattenStats(flat, 3, 0).ok());
 }
 
 }  // namespace

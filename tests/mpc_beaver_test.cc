@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/association_scan.h"
 #include "core/secure_scan.h"
@@ -216,6 +218,41 @@ TEST(BeaverScanTest, SecureScanWithDotProductsMatchesPlaintext) {
   EXPECT_LT(MaxAbsDiff(secure.result.beta, plain.beta), 1e-4);
   EXPECT_LT(MaxAbsDiff(secure.result.se, plain.se), 1e-4);
   EXPECT_LT(MaxAbsDiff(secure.result.pval, plain.pval), 1e-3);
+}
+
+// Per-party centering absorbs P batch parameters; the Beaver branch must
+// take them out of the degrees of freedom exactly as the reveal-sums
+// branch does.
+TEST(BeaverScanTest, CenteredDotProductsMatchCenteredRevealSums) {
+  Rng rng(34);
+  std::vector<PartyData> parties;
+  for (int p = 0; p < 3; ++p) {
+    PartyData pd;
+    const int64_t n = 40 + 10 * p;
+    pd.x = GaussianMatrix(n, 12, &rng);
+    pd.c = GaussianMatrix(n, 2, &rng);  // no intercept: centering absorbs it
+    pd.y.resize(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      pd.y[static_cast<size_t>(i)] =
+          0.4 * pd.x(i, 0) + 1.5 * static_cast<double>(p) + rng.Gaussian();
+    }
+    parties.push_back(std::move(pd));
+  }
+
+  SecureScanOptions opts;
+  opts.aggregation = AggregationMode::kMasked;
+  opts.center_per_party = true;
+  const ScanResult reveal =
+      SecureAssociationScan(opts).Run(parties).value().result;
+  opts.projection = ProjectionSecurity::kBeaverDotProducts;
+  opts.projection_frac_bits = 22;
+  const ScanResult beaver =
+      SecureAssociationScan(opts).Run(parties).value().result;
+
+  EXPECT_EQ(beaver.dof, reveal.dof);
+  EXPECT_EQ(reveal.dof, 150 - 2 - 1 - 3);  // N − K − 1 − P
+  EXPECT_LT(MaxAbsDiff(beaver.beta, reveal.beta), 1e-4);
+  EXPECT_LT(MaxAbsDiff(beaver.se, reveal.se), 1e-4);
 }
 
 TEST(BeaverScanTest, DotProductModeCostsKTimesMore) {
