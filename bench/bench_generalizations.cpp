@@ -13,10 +13,10 @@
 
 #include "core/association_scan.h"
 #include "core/burden_scan.h"
+#include "core/compressed_study.h"
 #include "core/grouped_scan.h"
 #include "core/mixed_model.h"
 #include "core/multi_phenotype_scan.h"
-#include "core/online_scan.h"
 #include "core/secure_scan.h"
 #include "data/genotype_generator.h"
 #include "data/workloads.h"
@@ -95,15 +95,23 @@ void OnlineRow() {
   const Matrix c = WithInterceptColumn(GaussianMatrix(2000, 2, &rng));
   const Vector y = GaussianVector(2000, &rng);
 
+  // Each wave is compressed once and merged into the running Cᵀ
+  // accumulator (CompressedStudy), then the whole study is finalized.
   Stopwatch timer;
-  OnlineScan online(800, 3);
+  CompressedStudy online =
+      CompressedStudy::Compress(Matrix(0, 800), Matrix(0, 1), Matrix(0, 3))
+          .value();
   for (int64_t start = 0; start < 2000; start += 250) {
     const Matrix xb = SliceRows(x, start, start + 250);
     const Matrix cb = SliceRows(c, start, start + 250);
     const Vector yb(y.begin() + start, y.begin() + start + 250);
-    DASH_CHECK(online.AddBatch(xb, yb, cb).ok());
+    DASH_CHECK(online
+                   .Merge(CompressedStudy::Compress(
+                              xb, Matrix::ColumnVector(yb), cb)
+                              .value())
+                   .ok());
   }
-  const ScanResult incr = online.Finalize().value();
+  const ScanResult incr = online.ScanAllCovariates().value();
   const double seconds = timer.ElapsedSeconds();
   const ScanResult full = AssociationScan(x, y, c).value();
   std::printf("%-12s %8s %14.2e %12.3fs %14s\n", "online", "8 waves",

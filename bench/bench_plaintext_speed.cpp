@@ -26,11 +26,10 @@
 //
 // --stream (with --kernel-bench) adds the out-of-core path: the
 // genotype draw is written to a temporary DASHPACK study and streamed
-// back through the checkpointed panel loop (core/streaming_stats.h) in
-// both read modes — `stream_file/genotype` (chunked pread) and
-// `stream_mmap/genotype` (one mmap). Both checksums are asserted equal
-// to the scalar kernel's, extending the bit-identity smoke across the
-// disk round trip. compare_bench.py treats `stream_*` as I/O-bound
+// back through the checkpointed panel loop (core/streaming_stats.h) as
+// `stream_file/genotype`. Its checksum is asserted equal to the scalar
+// kernel's, extending the bit-identity smoke across the disk round
+// trip. compare_bench.py treats `stream_*` as I/O-bound
 // info rows: reported, checksum-compared, never speed-gated.
 //
 // Usage:
@@ -294,7 +293,7 @@ void BenchPacked(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
 }
 
 // Round-trips the genotype draw through a temporary DASHPACK study and
-// times the out-of-core panel loop in both read modes. The interesting
+// times the out-of-core panel loop. The interesting
 // assertion is not the wall time (I/O-bound; compare_bench.py reports
 // `stream_*` rows as info only) but the checksum: streamed-from-disk
 // must equal the in-memory scalar kernel bit for bit.
@@ -307,27 +306,19 @@ void BenchStream(const KernelArgs& a, const Matrix& x_geno, const Vector& y,
   const Status written = WritePackedStudy(path, packed, y, q, /*tag=*/0xbe9c5);
   DASH_CHECK(written.ok()) << written;
   std::printf("-- genotype, out-of-core DASHPACK stream --\n");
-  const struct {
-    const char* name;
-    StudyReadMode mode;
-  } kModes[] = {{"stream_file", StudyReadMode::kChunked},
-                {"stream_mmap", StudyReadMode::kMmap}};
-  for (const auto& m : kModes) {
-    uint64_t stream_sum = 0;
-    // Open inside the timed region: the reader's header/factor load is
-    // part of what an out-of-core scan pays per study.
-    const double stream_s = TimeBest(a.reps, &stream_sum, [&] {
-      auto reader = PackedStudyReader::Open(path, m.mode);
-      DASH_CHECK(reader.ok()) << reader.status();
-      const auto r = ComputeLocalStatsStreamed(reader.value().get(), y, q);
-      DASH_CHECK(r.ok()) << r.status();
-      return WireChecksum(r.value().flat);
-    });
-    AddEntry(entries, a, std::string(m.name) + "/genotype", stream_s,
-             stream_sum);
-    DASH_CHECK(scalar_sum == stream_sum)
-        << m.name << " streamed result diverged from scalar";
-  }
+  uint64_t stream_sum = 0;
+  // Open inside the timed region: the reader's header/factor load is
+  // part of what an out-of-core scan pays per study.
+  const double stream_s = TimeBest(a.reps, &stream_sum, [&] {
+    auto reader = PackedStudyReader::Open(path);
+    DASH_CHECK(reader.ok()) << reader.status();
+    const auto r = ComputeLocalStatsStreamed(reader.value().get(), y, q);
+    DASH_CHECK(r.ok()) << r.status();
+    return WireChecksum(r.value().flat);
+  });
+  AddEntry(entries, a, "stream_file/genotype", stream_s, stream_sum);
+  DASH_CHECK(scalar_sum == stream_sum)
+      << "stream_file streamed result diverged from scalar";
   std::remove(path.c_str());
   std::printf("\n");
 }

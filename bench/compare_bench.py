@@ -124,7 +124,7 @@ def shape_stable(name):
 
 def io_bound(name):
     """True for the out-of-core `stream_*` entries (stream_file,
-    stream_mmap, stream_resume, ...). Their wall time measures the
+    stream_resume, ...). Their wall time measures the
     disk and the page cache, not the kernels, so neither the raw
     wall-time gate nor --gate-speedup may fail on them — info rows
     only. Checksums are still enforced elsewhere."""

@@ -44,7 +44,7 @@ void PrintUsage() {
       "                  [--connect-timeout-ms T] [--receive-timeout-ms T]\n"
       "                  [--stall-ms T] [--out results.csv]\n"
       "  out-of-core (X streams from a dash_pack file instead of RAM):\n"
-      "                  [--stream study.dpk] [--stream-mmap]\n"
+      "                  [--stream study.dpk]\n"
       "                  [--checkpoint ckpt.dck] [--checkpoint-every K]\n"
       "                  [--stream-delay-ms T] [--fail-after-panels J]\n");
 }
@@ -61,7 +61,6 @@ int RealMain(int argc, char** argv) {
   int64_t stall_ms = 0;
   std::string out_path;
   std::string stream_path;
-  bool stream_mmap = false;
   StreamingPartyScan stream_config;
 
   for (int i = 1; i < argc; ++i) {
@@ -162,22 +161,20 @@ int RealMain(int argc, char** argv) {
       const char* value = next();
       if (value == nullptr) return 2;
       stream_path = value;
-    } else if (arg == "--stream-mmap") {
-      stream_mmap = true;
     } else if (arg == "--checkpoint") {
       const char* value = next();
       if (value == nullptr) return 2;
-      stream_config.checkpoint_path = value;
+      stream_config.options.checkpoint_path = value;
     } else if (arg == "--checkpoint-every") {
-      if (!next_i64(&stream_config.checkpoint_every_panels)) return 2;
+      if (!next_i64(&stream_config.options.checkpoint_every_panels)) return 2;
     } else if (arg == "--stream-delay-ms") {
       // Test hook: stretch the panel loop so the kill smokes can
       // reliably SIGKILL this process mid-stream.
-      if (!next_i64(&stream_config.panel_delay_ms)) return 2;
+      if (!next_i64(&stream_config.options.panel_delay_ms)) return 2;
     } else if (arg == "--fail-after-panels") {
       // Test hook: simulated crash after this many newly streamed
       // panels (see StreamingStatsOptions::fail_after_panels).
-      if (!next_i64(&stream_config.fail_after_panels)) return 2;
+      if (!next_i64(&stream_config.options.fail_after_panels)) return 2;
     } else if (arg == "--stall-ms") {
       // Test hook: sleep between mesh-up and the scan, so fault tests
       // can kill this process at a deterministic protocol point.
@@ -217,9 +214,7 @@ int RealMain(int argc, char** argv) {
                    "on disk; center before dash_pack)\n");
       return 2;
     }
-    auto opened = PackedStudyReader::Open(
-        stream_path,
-        stream_mmap ? StudyReadMode::kMmap : StudyReadMode::kChunked);
+    auto opened = PackedStudyReader::Open(stream_path);
     if (!opened.ok()) {
       std::fprintf(stderr, "--stream: %s\n",
                    opened.status().ToString().c_str());

@@ -133,9 +133,9 @@ Result<SecureScanOutput> RunStreamedJob(Transport* transport,
                         PackedStudyReader::Open(study_path));
   StreamingPartyScan stream;
   stream.source = reader.get();
-  stream.checkpoint_path = stem + ".dck";
-  stream.checkpoint_every_panels = config.checkpoint_every_panels;
-  stream.panel_delay_ms = config.panel_delay_ms;
+  stream.options.checkpoint_path = stem + ".dck";
+  stream.options.checkpoint_every_panels = config.checkpoint_every_panels;
+  stream.options.panel_delay_ms = config.panel_delay_ms;
   return RunPartySecureScanStreamed(transport, reader->phenotype(),
                                     reader->covariates(), stream,
                                     ScanOptionsForSpec(spec), phase1);

@@ -5,14 +5,14 @@
 // The preface imagines secure GWAS running "in online fashion as new
 // batches of samples come online". The Cᵀ-compression form of the scan
 // makes every sufficient statistic additive over batches, so each batch
-// is touched exactly once and the scan can be re-finalized at any time.
+// is compressed once, merged into a running CompressedStudy, and the
+// scan can be re-finalized at any time.
 // This example streams five enrollment waves and watches a planted hit's
 // p-value sharpen as samples accumulate.
 
 #include <cstdio>
 
-#include "core/association_scan.h"
-#include "core/online_scan.h"
+#include "core/compressed_study.h"
 #include "data/genotype_generator.h"
 #include "util/random.h"
 
@@ -25,7 +25,11 @@ int RealMain() {
   constexpr int64_t kCovariates = 3;  // intercept + 2 components
   constexpr int64_t kCausal = 77;
 
-  OnlineScan online(kVariants, kCovariates);
+  // The accumulator starts as an empty block of the study's shape.
+  CompressedStudy online =
+      CompressedStudy::Compress(Matrix(0, kVariants), Matrix(0, 1),
+                                Matrix(0, kCovariates))
+          .value();
   Rng rng(11);
 
   std::printf("streaming enrollment waves (true effect 0.15 on variant %lld)\n",
@@ -33,7 +37,6 @@ int RealMain() {
   std::printf("%-8s %10s %14s %14s\n", "wave", "N so far", "beta[77]",
               "p[77]");
 
-  int64_t total = 0;
   for (int wave = 1; wave <= 5; ++wave) {
     const int64_t n = 400 * wave;  // growing enrollment waves
     GenotypeOptions geno;
@@ -50,20 +53,20 @@ int RealMain() {
       y[static_cast<size_t>(i)] = 0.15 * x(i, kCausal) + 0.4 * c(i, 1) +
                                   rng.Gaussian();
     }
-    const Status s = online.AddBatch(x, y, c);
+    const auto batch = CompressedStudy::Compress(x, Matrix::ColumnVector(y), c);
+    const Status s = batch.ok() ? online.Merge(batch.value()) : batch.status();
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    total += n;
 
-    const auto scan = online.Finalize();
+    const auto scan = online.ScanAllCovariates();
     if (!scan.ok()) {
       std::fprintf(stderr, "%s\n", scan.status().ToString().c_str());
       return 1;
     }
     std::printf("%-8d %10lld %14.4f %14.3e\n", wave,
-                static_cast<long long>(total),
+                static_cast<long long>(online.num_samples()),
                 scan->beta[kCausal], scan->pval[kCausal]);
   }
 

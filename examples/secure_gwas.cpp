@@ -50,9 +50,7 @@ int RealMain(int argc, char** argv) {
     return 1;
   }
   const ScanResult& scan = out->result;
-  std::printf("secure scan finished in %.2fs (local %.2fs, protocol %.2fs)\n",
-              total.ElapsedSeconds(), out->metrics.local_compute_seconds,
-              out->metrics.protocol_seconds);
+  std::printf("secure scan finished in %.2fs\n", total.ElapsedSeconds());
 
   // Genome-wide significance with a Bonferroni threshold.
   const double alpha = 0.05 / static_cast<double>(scan.num_variants());

@@ -166,20 +166,21 @@ Result<ScanResult> CompressedStudy::Scan(
   }
   const int64_t ks = static_cast<int64_t>(subset.size());
 
+  // X.y for this phenotype is a strided column of XᵀY, so it is
+  // gathered; X.X is read in place.
+  Vector xy(static_cast<size_t>(m_));
+  for (int64_t j = 0; j < m_; ++j) xy[static_cast<size_t>(j)] = xty_(j, phenotype);
+  Vector qtx_qty(static_cast<size_t>(m_), 0.0);
+  Vector qtx_qtx(static_cast<size_t>(m_), 0.0);
   ProjectedSufficientStats stats;
   stats.num_samples = n_;
   stats.num_covariates = ks;
   stats.yy = yty_(phenotype, phenotype);
-  stats.xy.resize(static_cast<size_t>(m_));
+  stats.xy = xy;
   stats.xx = xx_;
-  for (int64_t j = 0; j < m_; ++j) stats.xy[static_cast<size_t>(j)] = xty_(j, phenotype);
-
-  if (ks == 0) {
-    stats.qty_qty = 0.0;
-    stats.qtx_qty.assign(static_cast<size_t>(m_), 0.0);
-    stats.qtx_qtx.assign(static_cast<size_t>(m_), 0.0);
-    return FinalizeScanProjected(stats);
-  }
+  stats.qtx_qty = qtx_qty;
+  stats.qtx_qtx = qtx_qtx;
+  if (ks == 0) return FinalizeScanProjected(stats);
 
   // Selected Gram block and cross-products.
   Matrix gram(ks, ks);
@@ -197,14 +198,12 @@ Result<ScanResult> CompressedStudy::Scan(
   // Qᵀ· = L⁻¹ Cᵀ· over the selected block.
   DASH_ASSIGN_OR_RETURN(Vector qty, SolveLowerTriangular(l, cy));
   stats.qty_qty = SquaredNorm(qty);
-  stats.qtx_qty.assign(static_cast<size_t>(m_), 0.0);
-  stats.qtx_qtx.assign(static_cast<size_t>(m_), 0.0);
   Vector col(static_cast<size_t>(ks));
   for (int64_t j = 0; j < m_; ++j) {
     for (int64_t a = 0; a < ks; ++a) col[static_cast<size_t>(a)] = cx(a, j);
     DASH_ASSIGN_OR_RETURN(Vector q, SolveLowerTriangular(l, col));
-    stats.qtx_qty[static_cast<size_t>(j)] = Dot(q, qty);
-    stats.qtx_qtx[static_cast<size_t>(j)] = SquaredNorm(q);
+    qtx_qty[static_cast<size_t>(j)] = Dot(q, qty);
+    qtx_qtx[static_cast<size_t>(j)] = SquaredNorm(q);
   }
   return FinalizeScanProjected(stats);
 }

@@ -1,6 +1,7 @@
 #include "core/multi_phenotype_scan.h"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -86,6 +87,8 @@ Status ValidateMultiParties(
   return Status::Ok();
 }
 
+// T views into one total: phenotype t's [yy | qty | xy] block, and the
+// shared X-side [xx | qtx] tail.
 Result<std::vector<ScanResult>> FinalizeAll(const Vector& flat, int64_t n,
                                             int64_t m, int64_t k,
                                             int64_t t_count) {
@@ -93,23 +96,23 @@ Result<std::vector<ScanResult>> FinalizeAll(const Vector& flat, int64_t n,
   if (static_cast<int64_t>(flat.size()) != expected) {
     return InternalError("multi-phenotype aggregate has wrong length");
   }
-  // Shared X-side block sits at the tail.
-  const size_t x_side = static_cast<size_t>(t_count * (1 + k + m));
+  const std::span<const double> total(flat);
+  const auto block = [&total](int64_t offset, int64_t len) {
+    return total.subspan(static_cast<size_t>(offset),
+                         static_cast<size_t>(len));
+  };
+  const int64_t x_side = t_count * (1 + k + m);
   std::vector<ScanResult> results;
   results.reserve(static_cast<size_t>(t_count));
   for (int64_t t = 0; t < t_count; ++t) {
+    const int64_t pos = t * (1 + k + m);
     ScanSufficientStats s;
     s.num_samples = n;
-    size_t pos = static_cast<size_t>(t * (1 + k + m));
-    s.yy = flat[pos++];
-    s.qty.assign(flat.begin() + pos, flat.begin() + pos + k);
-    pos += static_cast<size_t>(k);
-    s.xy.assign(flat.begin() + pos, flat.begin() + pos + m);
-    s.xx.assign(flat.begin() + x_side, flat.begin() + x_side + m);
-    s.qtx = Matrix(k, m);
-    for (int64_t i = 0; i < s.qtx.size(); ++i) {
-      s.qtx.data()[i] = flat[x_side + static_cast<size_t>(m + i)];
-    }
+    s.yy = total[static_cast<size_t>(pos)];
+    s.qty = block(pos + 1, k);
+    s.xy = block(pos + 1 + k, m);
+    s.xx = block(x_side, m);
+    s.qtx = block(x_side + m, k * m);
     DASH_ASSIGN_OR_RETURN(ScanResult r, FinalizeScan(s));
     results.push_back(std::move(r));
   }

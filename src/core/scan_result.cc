@@ -95,28 +95,33 @@ Result<ScanResult> FinalizeScanProjected(const ProjectedSufficientStats& s) {
 Result<ScanResult> FinalizeScan(const ScanSufficientStats& totals) {
   const int64_t m = totals.num_variants();
   const int64_t k = totals.num_covariates();
+  if (static_cast<int64_t>(totals.qtx.size()) != k * m) {
+    return InvalidArgumentError("QᵀX block is not K x M");
+  }
   // Project the K-vector statistics down to the scalars Lemma 2.1 uses
   // and share the finalization path with the Beaver-secured aggregation.
+  Vector qtx_qty(static_cast<size_t>(m), 0.0);
+  Vector qtx_qtx(static_cast<size_t>(m), 0.0);
+  for (int64_t j = 0; j < m; ++j) {
+    double qq = 0.0;
+    double qy = 0.0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const double q = totals.qtx[static_cast<size_t>(kk * m + j)];
+      qy += q * totals.qty[static_cast<size_t>(kk)];
+      qq += q * q;
+    }
+    qtx_qty[static_cast<size_t>(j)] = qy;
+    qtx_qtx[static_cast<size_t>(j)] = qq;
+  }
   ProjectedSufficientStats proj;
   proj.num_samples = totals.num_samples;
   proj.num_covariates = k;
   proj.yy = totals.yy;
   proj.xy = totals.xy;
   proj.xx = totals.xx;
-  proj.qty_qty = SquaredNorm(totals.qty);
-  proj.qtx_qty.assign(static_cast<size_t>(m), 0.0);
-  proj.qtx_qtx.assign(static_cast<size_t>(m), 0.0);
-  for (int64_t j = 0; j < m; ++j) {
-    double qq = 0.0;
-    double qy = 0.0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double q = totals.qtx(kk, j);
-      qy += q * totals.qty[static_cast<size_t>(kk)];
-      qq += q * q;
-    }
-    proj.qtx_qty[static_cast<size_t>(j)] = qy;
-    proj.qtx_qtx[static_cast<size_t>(j)] = qq;
-  }
+  proj.qty_qty = SquaredNormN(totals.qty.data(), k);
+  proj.qtx_qty = qtx_qty;
+  proj.qtx_qtx = qtx_qtx;
   return FinalizeScanProjected(proj);
 }
 

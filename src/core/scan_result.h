@@ -11,11 +11,18 @@
 // zero (X_m lies in the span of the permanent covariates, e.g. a
 // monomorphic variant against an intercept) produce NaN rows, mirroring
 // how GWAS tools flag untestable variants; num_untestable counts them.
+//
+// Both finalizers read their inputs through non-owning views
+// (std::span): ScanSufficientStats points into the secure-sum total
+// (suff_stats.h), ProjectedSufficientStats into whatever holds the
+// projected statistics. Nothing M-sized is copied between the wire and
+// the ScanResult; whatever a view points into must outlive the call.
 
 #ifndef DASH_CORE_SCAN_RESULT_H_
 #define DASH_CORE_SCAN_RESULT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "core/suff_stats.h"
@@ -42,7 +49,8 @@ struct ScanResult {
 };
 
 // Applies Lemma 2.1 to aggregated totals. Fails if the degrees of
-// freedom N − K − 1 are not positive.
+// freedom N − K − 1 are not positive or the view's blocks disagree in
+// shape.
 Result<ScanResult> FinalizeScan(const ScanSufficientStats& totals);
 
 // FNV-1a over the exact IEEE-754 bit patterns of beta/se/tstat/pval:
@@ -54,16 +62,17 @@ uint64_t ScanResultChecksum(const ScanResult& result);
 // The projected form of the sufficient statistics: what remains when
 // the K-vectors Qᵀy and QᵀX are never revealed and only their dot
 // products are (the Beaver-secured aggregation of
-// mpc/secure_projection.h). Lemma 2.1 needs nothing more.
+// mpc/secure_projection.h). Lemma 2.1 needs nothing more. A view like
+// ScanSufficientStats: the M-vectors are borrowed, never owned.
 struct ProjectedSufficientStats {
   int64_t num_samples = 0;
-  int64_t num_covariates = 0;  // K (public shape information)
-  double yy = 0.0;             // y.y (plain-summed)
-  Vector xy;                   // X.y, length M
-  Vector xx;                   // X.X, length M
-  double qty_qty = 0.0;        // Qᵀy.Qᵀy
-  Vector qtx_qty;              // QᵀX_m.Qᵀy, length M
-  Vector qtx_qtx;              // QᵀX_m.QᵀX_m, length M
+  int64_t num_covariates = 0;       // K (public shape information)
+  double yy = 0.0;                  // y.y (plain-summed)
+  std::span<const double> xy;       // X.y, length M
+  std::span<const double> xx;       // X.X, length M
+  double qty_qty = 0.0;             // Qᵀy.Qᵀy
+  std::span<const double> qtx_qty;  // QᵀX_m.Qᵀy, length M
+  std::span<const double> qtx_qtx;  // QᵀX_m.QᵀX_m, length M
 };
 
 // Lemma 2.1 on the projected statistics.

@@ -3,7 +3,7 @@
 // online".
 //
 // Each party folds enrollment batches into a local Cᵀ-compressed
-// accumulator (additive, each batch touched once — core/online_scan.h);
+// accumulator (additive, each batch touched once — core/compressed_study.h);
 // whenever a fresh genome-wide result is wanted, one secure aggregation
 // of the accumulators is run and the scan finalized. Between
 // re-aggregations there is ZERO communication; each re-aggregation costs

@@ -1,6 +1,5 @@
 #include "core/secure_scan.h"
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -65,25 +64,15 @@ Result<SecureScanOutput> SecureAssociationScan::Run(
     triples = dealer.Deal(k > 0 ? ProjectionTripleCount(k, m) : 0);
   }
 
-  std::vector<SecureScanMetrics> party_metrics(
-      static_cast<size_t>(num_parties));
   DASH_ASSIGN_OR_RETURN(
       SecureScanOutput out,
       SimulateParties(mesh, [&](int i, Transport* t) {
         const PartyData& party = parties[static_cast<size_t>(i)];
-        Result<SecureScanOutput> got =
-            beaver ? RunPartySecureScan(t, party, options_,
-                                        triples[static_cast<size_t>(i)])
-                   : RunPartySecureScan(t, party, options_);
-        if (got.ok()) party_metrics[static_cast<size_t>(i)] = got->metrics;
-        return got;
+        return beaver ? RunPartySecureScan(t, party, options_,
+                                           triples[static_cast<size_t>(i)])
+                      : RunPartySecureScan(t, party, options_);
       }));
   out.metrics = MetricsFromTraffic(mesh->metrics());
-  for (const SecureScanMetrics& m : party_metrics) {
-    out.metrics.local_compute_seconds += m.local_compute_seconds;
-    out.metrics.protocol_seconds =
-        std::max(out.metrics.protocol_seconds, m.protocol_seconds);
-  }
   return out;
 }
 

@@ -95,19 +95,13 @@ struct SecureScanOptions {
   ProtocolTrace* trace = nullptr;
 };
 
-// Cost accounting: a party's own sends and timers from
-// RunPartySecureScan; the union over parties from the simulator.
+// Cost accounting: a party's own sends from RunPartySecureScan; the
+// union over parties from the simulator.
 struct SecureScanMetrics {
   int64_t total_bytes = 0;
   int64_t total_messages = 0;
   int64_t max_link_bytes = 0;
   int rounds = 0;
-  // Statistics kernels and finalization (the simulator sums parties:
-  // total core time).
-  double local_compute_seconds = 0.0;
-  // Phases 0-1 and the secure aggregation (the simulator reports the
-  // slowest party).
-  double protocol_seconds = 0.0;
   // True when a cached Phase-1 state was reused (party_runner.h
   // Phase1State): the sample-count and R-combination rounds were
   // replaced by a single kPhase1Probe round.

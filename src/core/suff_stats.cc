@@ -452,7 +452,7 @@ Vector ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
   });
 }
 
-Result<ScanSufficientStats> UnflattenStats(const Vector& flat,
+Result<ScanSufficientStats> UnflattenStats(std::span<const double> flat,
                                            int64_t num_variants,
                                            int64_t num_covariates) {
   const StatsWireLayout layout{num_variants, num_covariates};
@@ -461,17 +461,15 @@ Result<ScanSufficientStats> UnflattenStats(const Vector& flat,
         "flattened statistics have length " + std::to_string(flat.size()) +
         "; expected " + std::to_string(layout.total_len()));
   }
+  const auto block = [&flat](int64_t offset, int64_t len) {
+    return flat.subspan(static_cast<size_t>(offset), static_cast<size_t>(len));
+  };
   ScanSufficientStats s;
-  size_t pos = 0;
-  s.yy = flat[pos++];
-  s.qty.assign(flat.begin() + pos, flat.begin() + pos + num_covariates);
-  pos += static_cast<size_t>(num_covariates);
-  s.xy.assign(flat.begin() + pos, flat.begin() + pos + num_variants);
-  pos += static_cast<size_t>(num_variants);
-  s.xx.assign(flat.begin() + pos, flat.begin() + pos + num_variants);
-  pos += static_cast<size_t>(num_variants);
-  s.qtx = Matrix(num_covariates, num_variants);
-  for (int64_t i = 0; i < s.qtx.size(); ++i) s.qtx.data()[i] = flat[pos++];
+  s.yy = flat[static_cast<size_t>(layout.yy_offset())];
+  s.qty = block(layout.qty_offset(), num_covariates);
+  s.xy = block(layout.xy_offset(), num_variants);
+  s.xx = block(layout.xx_offset(), num_variants);
+  s.qtx = block(layout.qtx_offset(), num_covariates * num_variants);
   return s;
 }
 

@@ -16,8 +16,10 @@
 // secure-sum round aggregates. Every summand entry point
 // (ComputeLocalStatsFlat and its dense-only and scalar-reference
 // siblings) writes straight into it, so nothing is copied between the
-// kernel and the transport. ScanSufficientStats is only the finalizer's input:
-// UnflattenStats slices a total into it for FinalizeScan.
+// kernel and the transport. The aggregated total keeps that form to the
+// end: ScanSufficientStats is a non-owning view into it, which
+// UnflattenStats points at the blocks without copying, and FinalizeScan
+// reads the statistics through the view.
 //
 // Kernels. ComputeLocalStatsFlat(Matrix) runs the cache-blocked kernel
 // of ComputeStatsColumns: columns are tiled into blocks of
@@ -51,6 +53,7 @@
 #define DASH_CORE_SUFF_STATS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "linalg/matrix.h"
 #include "linalg/packed_matrix.h"
@@ -61,15 +64,18 @@
 
 namespace dash {
 
-// Aggregated statistics in structured form: the finalizer's input,
-// sliced from a secure-sum total by UnflattenStats.
+// Aggregated statistics as the finalizer reads them: a non-owning view
+// into a wire-order arena (normally a secure-sum total), pointed there
+// by UnflattenStats. Only num_samples and the scalar yy are held by
+// value. The arena must outlive the view, and must not be resized while
+// the view is in use.
 struct ScanSufficientStats {
-  int64_t num_samples = 0;  // public: rows behind these totals
-  double yy = 0.0;          // y.y
-  Vector qty;               // length K
-  Vector xy;                // length M
-  Vector xx;                // length M
-  Matrix qtx;               // K x M
+  int64_t num_samples = 0;       // public: rows behind these totals
+  double yy = 0.0;               // y.y
+  std::span<const double> qty;   // length K
+  std::span<const double> xy;    // length M
+  std::span<const double> xx;    // length M
+  std::span<const double> qtx;   // K x M, row-major: qtx[kk * M + j]
 
   int64_t num_variants() const { return static_cast<int64_t>(xy.size()); }
   int64_t num_covariates() const { return static_cast<int64_t>(qty.size()); }
@@ -172,12 +178,16 @@ Vector ComputeLocalStatsSparseScalar(const SparseColumnMatrix& x,
                                      const Vector& y, const Matrix& q,
                                      ThreadPool* pool = nullptr);
 
-// Slices an arena (a summand or a secure-sum total) into the structured
-// statistics FinalizeScan consumes, given the public shape (M, K).
-// num_samples is left 0 for the caller to set.
-Result<ScanSufficientStats> UnflattenStats(const Vector& flat,
+// Points a view at the blocks of an arena (a summand or a secure-sum
+// total) for FinalizeScan, given the public shape (M, K); nothing is
+// copied but yy. num_samples is left 0 for the caller to set. The arena
+// must outlive the view, so a temporary arena is rejected at compile
+// time.
+Result<ScanSufficientStats> UnflattenStats(std::span<const double> flat,
                                            int64_t num_variants,
                                            int64_t num_covariates);
+Result<ScanSufficientStats> UnflattenStats(Vector&& flat, int64_t num_variants,
+                                           int64_t num_covariates) = delete;
 
 // FNV-1a over the IEEE-754 bytes of an arena. Equal checksums <=>
 // bit-identical statistics; benches and the kernel-identity tests

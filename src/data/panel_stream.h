@@ -16,8 +16,8 @@
 //
 //   - PanelSource, the abstraction the streaming scan kernel consumes:
 //     "give me panel p as a PackedGenotypeMatrix". PackedStudyReader
-//     serves panels from a DASHPACK file (pread-sized chunk reads, or
-//     one mmap of the whole file); InMemoryPanelSource slices an
+//     serves panels from a DASHPACK file (one pread-sized chunk read
+//     per panel); InMemoryPanelSource slices an
 //     in-memory matrix (the bit-identity oracle in tests).
 //
 //   - PanelPrefetcher, a double-buffered background reader that
@@ -112,19 +112,14 @@ Status WritePackedStudy(const std::string& path, const PackedGenotypeMatrix& x,
 
 // --- DASHPACK reader --------------------------------------------------
 
-enum class StudyReadMode {
-  kChunked,  // pread one panel block per ReadPanel call
-  kMmap,     // map the whole file once; ReadPanel copies out of the map
-};
-
 class PackedStudyReader final : public PanelSource {
  public:
   // Opens and fully validates the header (magic, version, dimension
   // bounds, header checksum, exact file size) and the y/C block
   // checksum; loads y and C into RAM. Panel payloads are validated
-  // lazily, per ReadPanel.
+  // lazily, per ReadPanel, which preads one panel block per call.
   static Result<std::unique_ptr<PackedStudyReader>> Open(
-      const std::string& path, StudyReadMode mode = StudyReadMode::kChunked);
+      const std::string& path);
 
   ~PackedStudyReader() override;
   PackedStudyReader(const PackedStudyReader&) = delete;
@@ -135,7 +130,6 @@ class PackedStudyReader final : public PanelSource {
   int64_t num_covariates() const { return k_; }
   uint64_t tag() const { return tag_; }
   uint64_t fingerprint() const override { return fingerprint_; }
-  StudyReadMode mode() const { return mode_; }
 
   // The RAM-resident factors (loaded at Open).
   const Vector& phenotype() const { return y_; }
@@ -147,9 +141,6 @@ class PackedStudyReader final : public PanelSource {
   PackedStudyReader() = default;
 
   int fd_ = -1;
-  StudyReadMode mode_ = StudyReadMode::kChunked;
-  const unsigned char* map_ = nullptr;  // kMmap only
-  size_t map_len_ = 0;
   std::string path_;
 
   int64_t n_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "net/serialization.h"
 #include "util/fnv1a.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace dash {
@@ -122,10 +122,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
           (k > 0 ? ProjectionTripleCount(k, m) : 0)) {
     return InvalidArgumentError("Beaver triple count does not match K, M");
   }
-  Stopwatch protocol_timer;
-  Stopwatch local_timer;
-  double local_seconds = 0.0;
-  double protocol_seconds = 0.0;
 
   // Phase-1 cache probe (one optional round): each party broadcasts ONE
   // public bit — "I hold valid Phase-1 state for this cohort" — and the
@@ -136,13 +132,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   uint64_t fingerprint = 0;
   bool cache_hit = false;
   if (phase1 != nullptr) {
-    local_timer.Reset();
     fingerprint = Phase1Fingerprint(*party, absorbed_params, options);
-    local_seconds += local_timer.ElapsedSeconds();
     const bool have =
         phase1->valid && phase1->local_fingerprint == fingerprint;
     if (num_parties > 1) {
-      protocol_timer.Reset();
       transport->BeginRound();
       ByteWriter w;
       w.PutU32(have ? 1u : 0u);
@@ -161,7 +154,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
         all_have = all_have && (peer_have == 1);
       }
       cache_hit = all_have;
-      protocol_seconds += protocol_timer.ElapsedSeconds();
     } else {
       cache_hit = have;
     }
@@ -184,11 +176,9 @@ Result<SecureScanOutput> RunPartyScanProtocol(
         phase1->q_p,
         "phase1-cache: this party's own cached Q_p rows, reused in-process");
   } else {
-    protocol_timer.Reset();
     DASH_ASSIGN_OR_RETURN(PartyBasis basis,
                           RunPartyPhase1(transport, party->c,
                                          options.r_combine));
-    protocol_seconds += protocol_timer.ElapsedSeconds();
     total_samples = basis.total_samples;
     q_p = std::move(basis.q_p);
     if (phase1 != nullptr) {
@@ -218,7 +208,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     // Beaver variant: the orthogonal statistics (y.y, X.y, X.X) are
     // summed as usual, but the projected K-vectors never leave the party
     // — only their dot products are opened.
-    local_timer.Reset();
     const Vector arena = PartyLocalStatsFlat(*party, q_p, pool.get());
     const StatsWireLayout layout{m, k};
     // [yy | xy | xx]: the header's yy, then xy and xx, which sit
@@ -232,9 +221,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
                arena.begin() + layout.xy_offset());
     Matrix qtx(k, m);
     std::copy(arena.begin() + layout.qtx_offset(), arena.end(), qtx.data());
-    local_seconds += local_timer.ElapsedSeconds();
 
-    protocol_timer.Reset();
     DASH_ASSIGN_OR_RETURN(Vector plain_totals,
                           secure_sum.Run(Secret<Vector>(std::move(plain))));
     DASH_ASSIGN_OR_RETURN(
@@ -242,34 +229,27 @@ Result<SecureScanOutput> RunPartyScanProtocol(
         PartySecureProjection(transport, Secret<Vector>(std::move(qty)),
                               Secret<Matrix>(std::move(qtx)),
                               *beaver_triples, options.projection_frac_bits));
-    protocol_seconds += protocol_timer.ElapsedSeconds();
 
-    local_timer.Reset();
+    // A view into plain_totals = [yy | xy | xx] and the opened dot
+    // products.
+    const std::span<const double> plain_view(plain_totals);
     ProjectedSufficientStats totals;
     totals.num_samples = total_samples - absorbed_params;
     totals.num_covariates = k;
-    totals.yy = plain_totals[0];
-    totals.xy.assign(plain_totals.begin() + 1, plain_totals.begin() + 1 + m);
-    totals.xx.assign(plain_totals.begin() + 1 + m,
-                     plain_totals.begin() + 1 + 2 * m);
+    totals.yy = plain_view[0];
+    totals.xy = plain_view.subspan(1, static_cast<size_t>(m));
+    totals.xx = plain_view.subspan(static_cast<size_t>(1 + m));
     totals.qty_qty = projected.qty_qty;
-    totals.qtx_qty = std::move(projected.qtx_qty);
-    totals.qtx_qtx = std::move(projected.qtx_qtx);
+    totals.qtx_qty = projected.qtx_qty;
+    totals.qtx_qtx = projected.qtx_qtx;
     DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
-    local_seconds += local_timer.ElapsedSeconds();
   } else {
     Vector flat;
-    local_timer.Reset();
     if (stream != nullptr) {
       // Stage 3 (local, out-of-core): stream X's panels into the
       // wire-order summand, checkpointing as configured. Bit-identical
       // to the in-memory arena (core/streaming_stats.h).
-      StreamingStatsOptions stream_opts;
-      stream_opts.checkpoint_path = stream->checkpoint_path;
-      stream_opts.checkpoint_every_panels = stream->checkpoint_every_panels;
-      stream_opts.fail_after_panels = stream->fail_after_panels;
-      stream_opts.panel_delay_ms = stream->panel_delay_ms;
-      stream_opts.prefetch = stream->prefetch;
+      StreamingStatsOptions stream_opts = stream->options;
       stream_opts.pool = pool.get();
       DASH_ASSIGN_OR_RETURN(StreamingStatsResult streamed,
                             ComputeLocalStatsStreamed(stream->source, party->y,
@@ -288,21 +268,16 @@ Result<SecureScanOutput> RunPartyScanProtocol(
       // wire-order arena (zero-copy flatten).
       flat = PartyLocalStatsFlat(*party, q_p, pool.get());
     }
-    local_seconds += local_timer.ElapsedSeconds();
 
     // Stage 4 (network): one secure-sum aggregation of everything.
-    protocol_timer.Reset();
     DASH_ASSIGN_OR_RETURN(Vector flat_totals,
                           secure_sum.Run(Secret<Vector>(std::move(flat))));
-    protocol_seconds += protocol_timer.ElapsedSeconds();
 
     // Stage 5 (local, public): Lemma 2.1 finalization.
-    local_timer.Reset();
     DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
                           UnflattenStats(flat_totals, m, k));
     totals.num_samples = total_samples - absorbed_params;
     DASH_ASSIGN_OR_RETURN(result, FinalizeScan(totals));
-    local_seconds += local_timer.ElapsedSeconds();
   }
 
   // Commit round: broadcast the checksum of the result we are about to
@@ -311,7 +286,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   // same-length reorder): instead of parties walking away with
   // different numbers, the scan fails with DataLoss at every party.
   if (options.commit_round && num_parties > 1) {
-    protocol_timer.Reset();
     transport->BeginRound();
     const uint64_t checksum = ScanResultChecksum(result);
     ByteWriter w;
@@ -334,14 +308,13 @@ Result<SecureScanOutput> RunPartyScanProtocol(
                              std::to_string(checksum));
       }
     }
-    protocol_seconds += protocol_timer.ElapsedSeconds();
   }
 
   // The revealed (and, when enabled, commit-verified) result is in
   // hand: the checkpoint has served its purpose. A crash before this
   // point keeps the snapshot for the next run.
-  if (stream != nullptr && !stream->checkpoint_path.empty()) {
-    RemoveScanCheckpoint(stream->checkpoint_path);
+  if (stream != nullptr && !stream->options.checkpoint_path.empty()) {
+    RemoveScanCheckpoint(stream->options.checkpoint_path);
   }
 
   SecureScanOutput out;
@@ -350,8 +323,6 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   out.metrics.total_messages = transport->metrics().total_messages();
   out.metrics.max_link_bytes = transport->metrics().MaxLinkBytes();
   out.metrics.rounds = transport->metrics().rounds();
-  out.metrics.local_compute_seconds = local_seconds;
-  out.metrics.protocol_seconds = protocol_seconds;
   out.metrics.phase1_cache_hit = cache_hit;
   out.metrics.streamed = stream != nullptr;
   out.metrics.resumed_from_panel = resumed_from_panel;

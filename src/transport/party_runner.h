@@ -29,10 +29,11 @@
 #define DASH_TRANSPORT_PARTY_RUNNER_H_
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "core/distributed_qr.h"
 #include "core/secure_scan.h"
+#include "core/streaming_stats.h"
 #include "data/panel_stream.h"
 #include "data/party_split.h"
 #include "linalg/matrix.h"
@@ -125,16 +126,9 @@ Result<PartyBasis> RunPartyPhase1(Transport* transport, const Matrix& c,
 struct StreamingPartyScan {
   PanelSource* source = nullptr;  // required; must outlive the call
 
-  // Empty disables checkpoint/resume.
-  std::string checkpoint_path;
-  int64_t checkpoint_every_panels = 8;
-
-  // Test hooks (crash injection and pacing for the kill smokes); see
-  // StreamingStatsOptions.
-  int64_t fail_after_panels = -1;
-  int64_t panel_delay_ms = 0;
-
-  bool prefetch = true;
+  // Checkpointing, prefetch and the test hooks. The runner overrides
+  // only `pool`, with the scan's own (SecureScanOptions::num_threads).
+  StreamingStatsOptions options;
 };
 
 // Streamed variant of RunPartySecureScan: y and the permanent

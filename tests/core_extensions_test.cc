@@ -7,10 +7,10 @@
 
 #include "core/association_scan.h"
 #include "core/burden_scan.h"
+#include "core/compressed_study.h"
 #include "core/meta_scan.h"
 #include "core/mixed_model.h"
 #include "core/multi_phenotype_scan.h"
-#include "core/online_scan.h"
 #include "core/secure_scan.h"
 #include "data/genotype_generator.h"
 #include "data/workloads.h"
@@ -312,6 +312,23 @@ TEST(MixedModelTest, Validation) {
 }
 
 // --- Online scan (Cᵀ compression) ---
+//
+// The online mode is a CompressedStudy accumulator: each batch is
+// compressed once and merged, and ScanAllCovariates re-finalizes.
+
+// The accumulator before any batch has arrived.
+CompressedStudy EmptyStudy(int64_t m, int64_t k) {
+  return CompressedStudy::Compress(Matrix(0, m), Matrix(0, 1), Matrix(0, k))
+      .value();
+}
+
+Status AddBatch(CompressedStudy* study, const Matrix& x, const Vector& y,
+                const Matrix& c) {
+  DASH_ASSIGN_OR_RETURN(
+      CompressedStudy batch,
+      CompressedStudy::Compress(x, Matrix::ColumnVector(y), c));
+  return study->Merge(batch);
+}
 
 TEST(OnlineScanTest, BatchedEqualsFullScan) {
   Rng rng(35);
@@ -323,20 +340,19 @@ TEST(OnlineScanTest, BatchedEqualsFullScan) {
   }
   const ScanResult full = AssociationScan(x, y, c).value();
 
-  OnlineScan online(10, 3);
+  CompressedStudy online = EmptyStudy(10, 3);
   int64_t start = 0;
   for (const int64_t batch : {int64_t{17}, int64_t{40}, int64_t{1}, int64_t{62}}) {
     const Matrix xb = SliceRows(x, start, start + batch);
     const Matrix cb = SliceRows(c, start, start + batch);
     const Vector yb(y.begin() + start, y.begin() + start + batch);
-    ASSERT_TRUE(online.AddBatch(xb, yb, cb).ok());
+    ASSERT_TRUE(AddBatch(&online, xb, yb, cb).ok());
     start += batch;
   }
   ASSERT_EQ(start, 120);
-  EXPECT_EQ(online.samples_seen(), 120);
-  EXPECT_EQ(online.batches_seen(), 4);
+  EXPECT_EQ(online.num_samples(), 120);
 
-  const ScanResult incremental = online.Finalize().value();
+  const ScanResult incremental = online.ScanAllCovariates().value();
   EXPECT_EQ(incremental.dof, full.dof);
   EXPECT_LT(MaxAbsDiff(incremental.beta, full.beta), 1e-9);
   EXPECT_LT(MaxAbsDiff(incremental.se, full.se), 1e-9);
@@ -350,37 +366,38 @@ TEST(OnlineScanTest, IntermediateFinalizationsAreConsistent) {
   const Matrix c = WithInterceptColumn(GaussianMatrix(90, 1, &rng));
   const Vector y = GaussianVector(90, &rng);
 
-  OnlineScan online(5, 2);
+  CompressedStudy online = EmptyStudy(5, 2);
   for (int64_t start = 0; start < 90; start += 30) {
     const Matrix xb = SliceRows(x, start, start + 30);
     const Matrix cb = SliceRows(c, start, start + 30);
     const Vector yb(y.begin() + start, y.begin() + start + 30);
-    ASSERT_TRUE(online.AddBatch(xb, yb, cb).ok());
+    ASSERT_TRUE(AddBatch(&online, xb, yb, cb).ok());
     const Matrix xp = SliceRows(x, 0, start + 30);
     const Matrix cp = SliceRows(c, 0, start + 30);
     const Vector yp(y.begin(), y.begin() + start + 30);
     const ScanResult prefix = AssociationScan(xp, yp, cp).value();
-    const ScanResult incr = online.Finalize().value();
+    const ScanResult incr = online.ScanAllCovariates().value();
     EXPECT_LT(MaxAbsDiff(incr.beta, prefix.beta), 1e-9);
     EXPECT_LT(MaxAbsDiff(incr.pval, prefix.pval), 1e-9);
   }
 }
 
 TEST(OnlineScanTest, Validation) {
-  OnlineScan online(5, 2);
-  EXPECT_FALSE(online.Finalize().ok());  // no data yet
-  EXPECT_FALSE(online.AddBatch(Matrix(10, 4), Vector(10), Matrix(10, 2)).ok());
-  EXPECT_FALSE(online.AddBatch(Matrix(10, 5), Vector(9), Matrix(10, 2)).ok());
-  EXPECT_FALSE(online.AddBatch(Matrix(10, 5), Vector(10), Matrix(10, 3)).ok());
+  CompressedStudy online = EmptyStudy(5, 2);
+  EXPECT_FALSE(online.ScanAllCovariates().ok());  // no data yet
+  EXPECT_FALSE(AddBatch(&online, Matrix(10, 4), Vector(10), Matrix(10, 2)).ok());
+  EXPECT_FALSE(AddBatch(&online, Matrix(10, 5), Vector(9), Matrix(10, 2)).ok());
+  EXPECT_FALSE(AddBatch(&online, Matrix(10, 5), Vector(10), Matrix(10, 3)).ok());
+  EXPECT_EQ(online.num_samples(), 0);  // rejected batches leave no trace
 }
 
 TEST(OnlineScanTest, ZeroCovariateMode) {
   Rng rng(37);
   const Matrix x = GaussianMatrix(40, 3, &rng);
   const Vector y = GaussianVector(40, &rng);
-  OnlineScan online(3, 0);
-  ASSERT_TRUE(online.AddBatch(x, y, Matrix(40, 0)).ok());
-  const ScanResult incr = online.Finalize().value();
+  CompressedStudy online = EmptyStudy(3, 0);
+  ASSERT_TRUE(AddBatch(&online, x, y, Matrix(40, 0)).ok());
+  const ScanResult incr = online.ScanAllCovariates().value();
   const ScanResult full = AssociationScan(x, y, Matrix(40, 0)).value();
   EXPECT_LT(MaxAbsDiff(incr.beta, full.beta), 1e-10);
 }

@@ -139,7 +139,7 @@ TEST(StreamingIdentityTest, StreamedMatchesInMemoryEveryIsa) {
   }
 }
 
-TEST(StreamingIdentityTest, FileSourceBothModesPrefetchAndPool) {
+TEST(StreamingIdentityTest, FileSourcePrefetchAndPool) {
   const Study study = MakeStudy(1300, 90, 3, 31);  // 6 panels
   Matrix c = study.q;  // any dense C works; q is what the scan consumes
   const std::string path = TempPath("file_identity.dpk");
@@ -147,23 +147,19 @@ TEST(StreamingIdentityTest, FileSourceBothModesPrefetchAndPool) {
   const Vector want = InMemoryReference(study);
   ThreadPool pool(3);
 
-  for (const StudyReadMode mode :
-       {StudyReadMode::kChunked, StudyReadMode::kMmap}) {
-    for (const bool prefetch : {false, true}) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        auto reader = PackedStudyReader::Open(path, mode);
-        ASSERT_TRUE(reader.ok()) << reader.status();
-        StreamingStatsOptions options;
-        options.prefetch = prefetch;
-        options.pool = p;
-        SCOPED_TRACE(std::string(mode == StudyReadMode::kMmap ? "mmap"
-                                                              : "chunked") +
-                     (prefetch ? "+prefetch" : "") + (p ? "+pool" : ""));
-        auto streamed = ComputeLocalStatsStreamed(reader.value().get(),
-                                                  study.y, study.q, options);
-        ASSERT_TRUE(streamed.ok()) << streamed.status();
-        ExpectBitIdentical(streamed->flat, want, "file-streamed flat");
-      }
+  for (const bool prefetch : {false, true}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      auto reader = PackedStudyReader::Open(path);
+      ASSERT_TRUE(reader.ok()) << reader.status();
+      StreamingStatsOptions options;
+      options.prefetch = prefetch;
+      options.pool = p;
+      SCOPED_TRACE(std::string(prefetch ? "prefetch" : "no prefetch") +
+                   (p ? "+pool" : ""));
+      auto streamed = ComputeLocalStatsStreamed(reader.value().get(),
+                                                study.y, study.q, options);
+      ASSERT_TRUE(streamed.ok()) << streamed.status();
+      ExpectBitIdentical(streamed->flat, want, "file-streamed flat");
     }
   }
 }

@@ -26,24 +26,22 @@ Fixture MakeFixture(int64_t n, int64_t m, int64_t k, uint64_t seed) {
   return f;
 }
 
-// The structured view of an arena, for element-wise assertions.
-ScanSufficientStats Unflatten(const Vector& flat, int64_t m, int64_t k) {
-  return UnflattenStats(flat, m, k).value();
-}
-
 TEST(SuffStatsTest, MatchesDirectComputation) {
   const Fixture f = MakeFixture(30, 8, 3, 1);
-  const ScanSufficientStats s =
-      Unflatten(ComputeLocalStatsFlat(f.x, f.y, f.q), 8, 3);
+  const Vector flat = ComputeLocalStatsFlat(f.x, f.y, f.q);
+  const ScanSufficientStats s = UnflattenStats(flat, 8, 3).value();
   EXPECT_NEAR(s.yy, SquaredNorm(f.y), 1e-12);
-  EXPECT_LT(MaxAbsDiff(s.qty, TransposeMatVec(f.q, f.y)), 1e-12);
+  EXPECT_LT(MaxAbsDiff(Vector(s.qty.begin(), s.qty.end()),
+                       TransposeMatVec(f.q, f.y)),
+            1e-12);
   for (int64_t j = 0; j < 8; ++j) {
     const Vector xj = f.x.Col(j);
     EXPECT_NEAR(s.xy[static_cast<size_t>(j)], Dot(xj, f.y), 1e-12);
     EXPECT_NEAR(s.xx[static_cast<size_t>(j)], SquaredNorm(xj), 1e-12);
     const Vector qtxj = TransposeMatVec(f.q, xj);
     for (int64_t kk = 0; kk < 3; ++kk) {
-      EXPECT_NEAR(s.qtx(kk, j), qtxj[static_cast<size_t>(kk)], 1e-12);
+      EXPECT_NEAR(s.qtx[static_cast<size_t>(kk * 8 + j)],
+                  qtxj[static_cast<size_t>(kk)], 1e-12);
     }
   }
 }
@@ -92,27 +90,23 @@ TEST(SuffStatsTest, UnflattenSlicesTheWireLayout) {
   const StatsWireLayout layout{6, 3};
   ASSERT_EQ(static_cast<int64_t>(flat.size()), layout.total_len());
   EXPECT_EQ(flat.size(), static_cast<size_t>(1 + 3 + 2 * 6 + 3 * 6));
-  const ScanSufficientStats s = Unflatten(flat, 6, 3);
+  const ScanSufficientStats s = UnflattenStats(flat, 6, 3).value();
   EXPECT_EQ(s.num_samples, 0);  // public; the caller sets it
   EXPECT_EQ(s.yy, flat[static_cast<size_t>(layout.yy_offset())]);
-  for (int64_t kk = 0; kk < 3; ++kk) {
-    EXPECT_EQ(s.qty[static_cast<size_t>(kk)],
-              flat[static_cast<size_t>(layout.qty_offset() + kk)]);
-  }
-  for (int64_t j = 0; j < 6; ++j) {
-    EXPECT_EQ(s.xy[static_cast<size_t>(j)],
-              flat[static_cast<size_t>(layout.xy_offset() + j)]);
-    EXPECT_EQ(s.xx[static_cast<size_t>(j)],
-              flat[static_cast<size_t>(layout.xx_offset() + j)]);
-    for (int64_t kk = 0; kk < 3; ++kk) {
-      EXPECT_EQ(s.qtx(kk, j),
-                flat[static_cast<size_t>(layout.qtx_offset() + kk * 6 + j)]);
-    }
-  }
+  // A view, not a copy: every block points into the arena itself.
+  EXPECT_EQ(s.qty.data(), flat.data() + layout.qty_offset());
+  EXPECT_EQ(s.xy.data(), flat.data() + layout.xy_offset());
+  EXPECT_EQ(s.xx.data(), flat.data() + layout.xx_offset());
+  EXPECT_EQ(s.qtx.data(), flat.data() + layout.qtx_offset());
+  EXPECT_EQ(s.num_covariates(), 3);
+  EXPECT_EQ(s.num_variants(), 6);
+  EXPECT_EQ(s.xx.size(), 6u);
+  EXPECT_EQ(s.qtx.size(), static_cast<size_t>(3 * 6));
 }
 
 TEST(SuffStatsTest, UnflattenRejectsWrongLength) {
-  EXPECT_FALSE(UnflattenStats(Vector(10), 6, 3).ok());
+  const Vector short_arena(10);
+  EXPECT_FALSE(UnflattenStats(short_arena, 6, 3).ok());
 }
 
 TEST(SuffStatsTest, ZeroCovariateCase) {
@@ -122,9 +116,9 @@ TEST(SuffStatsTest, ZeroCovariateCase) {
   const Matrix q(10, 0);
   const Vector flat = ComputeLocalStatsFlat(x, y, q);
   EXPECT_EQ(flat.size(), static_cast<size_t>(1 + 2 * 3));
-  const ScanSufficientStats s = Unflatten(flat, 3, 0);
+  const ScanSufficientStats s = UnflattenStats(flat, 3, 0).value();
   EXPECT_EQ(s.num_covariates(), 0);
-  EXPECT_EQ(s.qtx.rows(), 0);
+  EXPECT_TRUE(s.qtx.empty());
 }
 
 }  // namespace

@@ -2,12 +2,11 @@
 //
 // The packed study file is the out-of-core scan's ONLY input, so this
 // suite pins both directions of its contract: a written study reads
-// back bit-exactly (y, C, every panel word, fingerprint — in both the
-// chunked and mmap read modes), and every way the file can be damaged
-// — truncation, corrupt header, flipped panel byte, wrong magic — is
-// DETECTED as a typed error, never served as silently wrong data. The
-// prefetcher is held to the same standard: panels in order, I/O errors
-// surfaced on the consumer side.
+// back bit-exactly (y, C, every panel word, fingerprint), and every way
+// the file can be damaged — truncation, corrupt header, flipped panel
+// byte, wrong magic — is DETECTED as a typed error, never served as
+// silently wrong data. The prefetcher is held to the same standard:
+// panels in order, I/O errors surfaced on the consumer side.
 
 #include <gtest/gtest.h>
 
@@ -141,44 +140,40 @@ TEST(PanelStreamTest, InMemorySourceSlicesMatchDenseRows) {
 
 // ---- round trip ------------------------------------------------------
 
-TEST(PanelStreamTest, RoundTripChunkedAndMmap) {
+TEST(PanelStreamTest, RoundTrip) {
   const Study study = MakeStudy();
   const std::string path = WriteStudyFile(study, "roundtrip.dpk");
   InMemoryPanelSource oracle(study.x, study.y, study.c, study.tag);
 
-  for (const StudyReadMode mode :
-       {StudyReadMode::kChunked, StudyReadMode::kMmap}) {
-    auto opened = PackedStudyReader::Open(path, mode);
-    ASSERT_TRUE(opened.ok()) << opened.status();
-    PackedStudyReader& reader = *opened.value();
-    EXPECT_EQ(reader.mode(), mode);
-    EXPECT_EQ(reader.num_samples(), study.x.rows());
-    EXPECT_EQ(reader.num_variants(), study.x.cols());
-    EXPECT_EQ(reader.num_covariates(), study.c.cols());
-    EXPECT_EQ(reader.tag(), study.tag);
-    // The file's fingerprint is the SAME value the in-memory source
-    // computes — that identity is what lets checkpoints cross the
-    // storage boundary.
-    EXPECT_EQ(reader.fingerprint(), oracle.fingerprint());
-    EXPECT_EQ(reader.fingerprint(),
-              StudyFingerprint(study.x, study.y, study.c, study.tag));
+  auto opened = PackedStudyReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  PackedStudyReader& reader = *opened.value();
+  EXPECT_EQ(reader.num_samples(), study.x.rows());
+  EXPECT_EQ(reader.num_variants(), study.x.cols());
+  EXPECT_EQ(reader.num_covariates(), study.c.cols());
+  EXPECT_EQ(reader.tag(), study.tag);
+  // The file's fingerprint is the SAME value the in-memory source
+  // computes — that identity is what lets checkpoints cross the
+  // storage boundary.
+  EXPECT_EQ(reader.fingerprint(), oracle.fingerprint());
+  EXPECT_EQ(reader.fingerprint(),
+            StudyFingerprint(study.x, study.y, study.c, study.tag));
 
-    ASSERT_EQ(reader.phenotype().size(), study.y.size());
-    EXPECT_EQ(0, std::memcmp(reader.phenotype().data(), study.y.data(),
-                             study.y.size() * sizeof(double)));
-    ASSERT_EQ(reader.covariates().rows(), study.c.rows());
-    ASSERT_EQ(reader.covariates().cols(), study.c.cols());
-    EXPECT_EQ(0, std::memcmp(reader.covariates().data(), study.c.data(),
-                             static_cast<size_t>(study.c.rows() *
-                                                 study.c.cols()) *
-                                 sizeof(double)));
+  ASSERT_EQ(reader.phenotype().size(), study.y.size());
+  EXPECT_EQ(0, std::memcmp(reader.phenotype().data(), study.y.data(),
+                           study.y.size() * sizeof(double)));
+  ASSERT_EQ(reader.covariates().rows(), study.c.rows());
+  ASSERT_EQ(reader.covariates().cols(), study.c.cols());
+  EXPECT_EQ(0, std::memcmp(reader.covariates().data(), study.c.data(),
+                           static_cast<size_t>(study.c.rows() *
+                                               study.c.cols()) *
+                               sizeof(double)));
 
-    PackedGenotypeMatrix got(0, 0), want(0, 0);
-    for (int64_t p = 0; p < reader.num_panels(); ++p) {
-      ASSERT_TRUE(reader.ReadPanel(p, &got).ok()) << "panel " << p;
-      ASSERT_TRUE(oracle.ReadPanel(p, &want).ok());
-      ExpectPanelsBitIdentical(got, want);
-    }
+  PackedGenotypeMatrix got(0, 0), want(0, 0);
+  for (int64_t p = 0; p < reader.num_panels(); ++p) {
+    ASSERT_TRUE(reader.ReadPanel(p, &got).ok()) << "panel " << p;
+    ASSERT_TRUE(oracle.ReadPanel(p, &want).ok());
+    ExpectPanelsBitIdentical(got, want);
   }
 }
 
@@ -281,20 +276,16 @@ TEST(PanelStreamTest, BadPanelChecksumDetectedLazily) {
   const size_t stride = static_cast<size_t>(study.x.cols()) * 64 + 8;
   FlipByteAt(path, panels_offset + stride + 100);
 
-  for (const StudyReadMode mode :
-       {StudyReadMode::kChunked, StudyReadMode::kMmap}) {
-    SCOPED_TRACE(mode == StudyReadMode::kMmap ? "mmap" : "chunked");
-    auto opened = PackedStudyReader::Open(path, mode);
-    // Header and y/C are intact, so Open succeeds; the damage is caught
-    // exactly when the bad panel is read, and only there.
-    ASSERT_TRUE(opened.ok()) << opened.status();
-    PackedGenotypeMatrix panel(0, 0);
-    EXPECT_TRUE(opened.value()->ReadPanel(0, &panel).ok());
-    EXPECT_TRUE(opened.value()->ReadPanel(2, &panel).ok());
-    const Status bad = opened.value()->ReadPanel(1, &panel);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.code(), StatusCode::kDataLoss) << bad;
-  }
+  auto opened = PackedStudyReader::Open(path);
+  // Header and y/C are intact, so Open succeeds; the damage is caught
+  // exactly when the bad panel is read, and only there.
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  PackedGenotypeMatrix panel(0, 0);
+  EXPECT_TRUE(opened.value()->ReadPanel(0, &panel).ok());
+  EXPECT_TRUE(opened.value()->ReadPanel(2, &panel).ok());
+  const Status bad = opened.value()->ReadPanel(1, &panel);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.code(), StatusCode::kDataLoss) << bad;
 }
 
 TEST(PanelStreamTest, ReadPanelPastEndIsOutOfRange) {
