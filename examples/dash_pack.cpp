@@ -2,8 +2,8 @@
 // workload as a DASHPACK packed study file (data/panel_stream.h) — the
 // input of dash_party --stream and the daemon's streamed jobs.
 //
-//   $ dash_pack --party 0 --parties 3 --variants 2000 --samples 500 \
-//               --data-seed 42 --out party0.dpk
+//   $ dash_pack --party 0 --parties 3 --variants 2000 --samples 500
+//               --data-seed 42 --out party0.dpk    (one command line)
 //
 // The same (--parties, --variants, --samples, --data-seed) tuple that
 // dash_party uses to self-generate its data yields the same pooled

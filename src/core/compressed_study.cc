@@ -6,8 +6,6 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "mpc/secure_sum.h"
-#include "transport/inprocess_mesh.h"
 #include "transport/party_runner.h"
 
 namespace dash {
@@ -23,10 +21,10 @@ CompressedStudy CompressedStudy::FromBlock(const Matrix& x, const Matrix& ys,
   s.cty_ = TransposeMatMul(c, ys);
   s.ctc_ = TransposeMatMul(c, c);
   s.xty_ = TransposeMatMul(x, ys);
-  s.xx_.assign(static_cast<size_t>(s.m_), 0.0);
+  s.xx_ = Matrix(s.m_, 1);
   for (int64_t i = 0; i < x.rows(); ++i) {
     const double* row = x.row_data(i);
-    for (int64_t j = 0; j < s.m_; ++j) s.xx_[static_cast<size_t>(j)] += row[j] * row[j];
+    for (int64_t j = 0; j < s.m_; ++j) s.xx_.data()[j] += row[j] * row[j];
   }
   s.ctx_ = TransposeMatMul(c, x);
   return s;
@@ -40,52 +38,6 @@ Result<CompressedStudy> CompressedStudy::Compress(const Matrix& x,
   }
   if (ys.cols() < 1) return InvalidArgumentError("need at least one phenotype");
   return FromBlock(x, ys, c);
-}
-
-int64_t CompressedStudy::FlatLength() const {
-  return t_ * t_ + k_ * t_ + k_ * k_ + m_ * t_ + m_ + k_ * m_;
-}
-
-Vector CompressedStudy::Flatten() const {
-  Vector flat;
-  flat.reserve(static_cast<size_t>(FlatLength()));
-  const auto append = [&flat](const Matrix& m) {
-    flat.insert(flat.end(), m.data(), m.data() + m.size());
-  };
-  append(yty_);
-  append(cty_);
-  append(ctc_);
-  append(xty_);
-  flat.insert(flat.end(), xx_.begin(), xx_.end());
-  append(ctx_);
-  return flat;
-}
-
-Result<CompressedStudy> CompressedStudy::Unflatten(const Vector& flat,
-                                                   int64_t n, int64_t m,
-                                                   int64_t k, int64_t t) {
-  CompressedStudy s;
-  s.n_ = n;
-  s.m_ = m;
-  s.k_ = k;
-  s.t_ = t;
-  if (static_cast<int64_t>(flat.size()) != s.FlatLength()) {
-    return InternalError("compressed statistics have unexpected length");
-  }
-  size_t pos = 0;
-  const auto take = [&flat, &pos](int64_t rows, int64_t cols) {
-    Matrix out(rows, cols);
-    for (int64_t i = 0; i < out.size(); ++i) out.data()[i] = flat[pos++];
-    return out;
-  };
-  s.yty_ = take(t, t);
-  s.cty_ = take(k, t);
-  s.ctc_ = take(k, k);
-  s.xty_ = take(m, t);
-  s.xx_.assign(flat.begin() + pos, flat.begin() + pos + m);
-  pos += static_cast<size_t>(m);
-  s.ctx_ = take(k, m);
-  return s;
 }
 
 Result<CompressedStudy::SecureOutput> CompressedStudy::SecureCompress(
@@ -121,31 +73,45 @@ Result<CompressedStudy::SecureOutput> CompressedStudy::SecureAggregate(
                                   " accumulator has inconsistent shape");
     }
   }
-  InProcessMesh mesh(static_cast<int>(locals.size()));
-  if (options.trace != nullptr) mesh.AttachTrace(options.trace);
-  SecureOutput out;
-  DASH_ASSIGN_OR_RETURN(
-      out.study, SimulateParties(&mesh, [&](int i, Transport* transport) {
+  return SimulateWorkload(
+      static_cast<int>(locals.size()), [&](int i, Transport* transport) {
         return PartySecureAggregate(transport, locals[static_cast<size_t>(i)],
                                     options);
-      }));
-  out.metrics = MetricsFromTraffic(mesh.metrics());
-  return out;
+      });
 }
 
-Result<CompressedStudy> CompressedStudy::PartySecureAggregate(
+Result<CompressedStudy::SecureOutput> CompressedStudy::PartySecureAggregate(
     Transport* transport, const CompressedStudy& local,
     const SecureScanOptions& options) {
-  DASH_ASSIGN_OR_RETURN(int64_t total,
-                        PartyPooledSampleCount(transport, local.n_));
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed ^ 0xc0435;
-  PartySecureVectorSum secure_sum(transport, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector totals,
-                        secure_sum.Run(Secret<Vector>(local.Flatten())));
-  return Unflatten(totals, total, local.m_, local.k_, local.t_);
+  SecureOutput out;
+  Phase2Body body;
+  body.workload = SecureWorkload::kCompressedStudy;
+  body.summand = [&](const Matrix&, ThreadPool*) -> Result<Vector> {
+    Vector flat;
+    for (const Matrix* b : Blocks(local)) {
+      flat.insert(flat.end(), b->data(), b->data() + b->size());
+    }
+    return flat;
+  };
+  body.finalize = [&](const Vector& total, int64_t n) -> Result<uint64_t> {
+    // The pooled study has the local accumulator's shapes.
+    out.study = local;
+    out.study.n_ = n;
+    int64_t pos = 0;
+    for (Matrix* b : Blocks(out.study)) {
+      if (pos + b->size() > static_cast<int64_t>(total.size())) {
+        return InternalError("compressed statistics have unexpected length");
+      }
+      std::copy_n(total.begin() + pos, b->size(), b->data());
+      pos += b->size();
+    }
+    return WireChecksum(total);
+  };
+  // No permanent covariates: the frame runs Phase 0 only.
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      RunPartyFrame(transport, Matrix(local.n_, 0), options, body));
+  return out;
 }
 
 Result<ScanResult> CompressedStudy::Scan(
@@ -177,7 +143,7 @@ Result<ScanResult> CompressedStudy::Scan(
   stats.num_covariates = ks;
   stats.yy = yty_(phenotype, phenotype);
   stats.xy = xy;
-  stats.xx = xx_;
+  stats.xx = std::span<const double>(xx_.data(), static_cast<size_t>(m_));
   stats.qtx_qty = qtx_qty;
   stats.qtx_qtx = qtx_qtx;
   if (ks == 0) return FinalizeScanProjected(stats);
@@ -219,12 +185,11 @@ Status CompressedStudy::Merge(const CompressedStudy& other) {
     return InvalidArgumentError("cannot merge studies with different shapes");
   }
   n_ += other.n_;
-  yty_ = MatAdd(yty_, other.yty_);
-  cty_ = MatAdd(cty_, other.cty_);
-  ctc_ = MatAdd(ctc_, other.ctc_);
-  xty_ = MatAdd(xty_, other.xty_);
-  for (size_t j = 0; j < xx_.size(); ++j) xx_[j] += other.xx_[j];
-  ctx_ = MatAdd(ctx_, other.ctx_);
+  const auto mine = Blocks(*this);
+  const auto theirs = Blocks(other);
+  for (size_t b = 0; b < mine.size(); ++b) {
+    *mine[b] = MatAdd(*mine[b], *theirs[b]);
+  }
   return Status::Ok();
 }
 

@@ -19,6 +19,7 @@
 #ifndef DASH_CORE_COMPRESSED_STUDY_H_
 #define DASH_CORE_COMPRESSED_STUDY_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,16 +50,19 @@ class CompressedStudy {
   // the online setting (core/secure_online_scan.h): parties keep merging
   // local batches into their accumulator and re-aggregate whenever a
   // fresh result is wanted. Simulated: every party runs
-  // PartySecureAggregate on its own in-process mesh endpoint.
+  // PartySecureAggregate on its own in-process mesh endpoint
+  // (SimulateWorkload).
   static Result<SecureOutput> SecureAggregate(
       const std::vector<CompressedStudy>& locals,
       const SecureScanOptions& options = {});
 
-  // One party's side of SecureAggregate: the pooled sample count (phase
-  // 0) and one secure sum of its accumulator.
-  static Result<CompressedStudy> PartySecureAggregate(
+  // One party's side of SecureAggregate over any Transport: the
+  // per-party frame (transport/party_runner.h) without permanent
+  // covariates — Phase 0's pooled N and one secure sum of its
+  // accumulator. Metrics count this party's sends.
+  static Result<SecureOutput> PartySecureAggregate(
       Transport* transport, const CompressedStudy& local,
-      const SecureScanOptions& options);
+      const SecureScanOptions& options = {});
 
   int64_t num_samples() const { return n_; }
   int64_t num_variants() const { return m_; }
@@ -84,10 +88,13 @@ class CompressedStudy {
 
   static CompressedStudy FromBlock(const Matrix& x, const Matrix& ys,
                                    const Matrix& c);
-  Vector Flatten() const;
-  static Result<CompressedStudy> Unflatten(const Vector& flat, int64_t n,
-                                           int64_t m, int64_t k, int64_t t);
-  int64_t FlatLength() const;
+
+  // The six additive blocks of `study`, in wire order.
+  template <typename Study>
+  static auto Blocks(Study& study) {
+    return std::array{&study.yty_, &study.cty_, &study.ctc_,
+                      &study.xty_, &study.xx_,  &study.ctx_};
+  }
 
   int64_t n_ = 0;
   int64_t m_ = 0;
@@ -97,7 +104,7 @@ class CompressedStudy {
   Matrix cty_;  // K x T
   Matrix ctc_;  // K x K
   Matrix xty_;  // M x T
-  Vector xx_;   // M
+  Matrix xx_;   // M x 1
   Matrix ctx_;  // K x M
 };
 

@@ -6,9 +6,7 @@
 
 #include "linalg/cholesky.h"
 #include "linalg/qr.h"
-#include "mpc/secure_sum.h"
 #include "stats/distributions.h"
-#include "transport/inprocess_mesh.h"
 #include "transport/party_runner.h"
 
 namespace dash {
@@ -180,28 +178,6 @@ Status ValidateGroupShape(int64_t cols, int64_t group_size) {
   return Status::Ok();
 }
 
-// One party's side of the secure grouped scan: Phases 0-1, then one
-// secure-sum aggregation of the grouped statistics.
-Result<GroupedScanResult> PartyGroupedScan(Transport* transport,
-                                           const PartyData& party,
-                                           int64_t group_size,
-                                           const SecureScanOptions& options) {
-  DASH_ASSIGN_OR_RETURN(PartyBasis basis,
-                        RunPartyPhase1(transport, party.c, options.r_combine));
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
-  PartySecureVectorSum secure_sum(transport, sum_options);
-  DASH_ASSIGN_OR_RETURN(
-      Vector totals,
-      secure_sum.Run(Secret<Vector>(
-          ComputeGroupedFlat(party.x, group_size, party.y, basis.q_p))));
-  return FinalizeGrouped(totals, basis.total_samples,
-                         party.x.cols() / group_size, group_size,
-                         party.c.cols());
-}
-
 }  // namespace
 
 Result<GroupedScanResult> GroupedScan(const Matrix& x, int64_t group_size,
@@ -221,20 +197,38 @@ Result<GroupedScanResult> GroupedScan(const Matrix& x, int64_t group_size,
                          c.cols());
 }
 
+Result<SecureGroupedScanOutput> PartyGroupedScan(
+    Transport* transport, const PartyData& party, int64_t group_size,
+    const SecureScanOptions& options) {
+  DASH_RETURN_IF_ERROR(ValidateParties({&party, 1}));
+  DASH_RETURN_IF_ERROR(ValidateGroupShape(party.x.cols(), group_size));
+  SecureGroupedScanOutput out;
+  Phase2Body body;
+  body.workload = SecureWorkload::kGroupedScan;
+  body.summand = [&](const Matrix& q_p, ThreadPool*) -> Result<Vector> {
+    return ComputeGroupedFlat(party.x, group_size, party.y, q_p);
+  };
+  body.finalize = [&](const Vector& total, int64_t n) -> Result<uint64_t> {
+    DASH_ASSIGN_OR_RETURN(out.result,
+                          FinalizeGrouped(total, n, party.x.cols() / group_size,
+                                          group_size, party.c.cols()));
+    return WireChecksum(total);
+  };
+  DASH_ASSIGN_OR_RETURN(out.metrics,
+                        RunPartyFrame(transport, party.c, options, body));
+  return out;
+}
+
 Result<SecureGroupedScanOutput> SecureGroupedScan(
     const std::vector<PartyData>& parties, int64_t group_size,
     const SecureScanOptions& options) {
   DASH_RETURN_IF_ERROR(ValidateParties(parties));
   DASH_RETURN_IF_ERROR(ValidateGroupShape(parties[0].x.cols(), group_size));
-  InProcessMesh mesh(static_cast<int>(parties.size()));
-  SecureGroupedScanOutput out;
-  DASH_ASSIGN_OR_RETURN(
-      out.result, SimulateParties(&mesh, [&](int i, Transport* t) {
+  return SimulateWorkload(
+      static_cast<int>(parties.size()), [&](int i, Transport* t) {
         return PartyGroupedScan(t, parties[static_cast<size_t>(i)], group_size,
                                 options);
-      }));
-  out.metrics = MetricsFromTraffic(mesh.metrics());
-  return out;
+      });
 }
 
 Result<Matrix> WithInteractionTerms(const Matrix& x, const Vector& e) {

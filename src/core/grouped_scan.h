@@ -54,9 +54,16 @@ struct SecureGroupedScanOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party grouped scan, simulated with one thread per party
-// on an in-process mesh: Phases 0-1 plus one secure sum of the grouped
-// statistics.
+// One party's side of the secure grouped scan over any Transport: the
+// per-party frame (transport/party_runner.h) with one secure sum of the
+// grouped statistics. Every party reveals the same result; metrics count
+// this party's sends.
+Result<SecureGroupedScanOutput> PartyGroupedScan(
+    Transport* transport, const PartyData& party, int64_t group_size,
+    const SecureScanOptions& options = {});
+
+// The simulator: PartyGroupedScan at every party of an in-process mesh
+// (SimulateWorkload), metrics over all parties.
 Result<SecureGroupedScanOutput> SecureGroupedScan(
     const std::vector<PartyData>& parties, int64_t group_size,
     const SecureScanOptions& options = {});

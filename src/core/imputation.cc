@@ -1,75 +1,58 @@
 #include "core/imputation.h"
 
+#include <cmath>
+
 #include "data/missing_data.h"
-#include "mpc/secure_sum.h"
-#include "transport/inprocess_mesh.h"
 #include "transport/party_runner.h"
 
 namespace dash {
 
-namespace {
-
-// One party's side: the pooled sample count (phase 0) and one secure sum
-// of [column sums | non-missing counts]. Returns the public totals.
-Result<Vector> PartyImputationTotals(Transport* transport,
-                                     const PartyData& party,
-                                     const SecureScanOptions& options,
-                                     int64_t* total_samples) {
-  DASH_ASSIGN_OR_RETURN(*total_samples,
-                        PartyPooledSampleCount(transport, party.num_samples()));
-  const ColumnMoments moments = ColumnSumsAndCounts(party.x);
-  Vector flat = moments.sums;
-  flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed ^ 0x1255;
-  PartySecureVectorSum secure_sum(transport, sum_options);
-  return secure_sum.Run(Secret<Vector>(std::move(flat)));
+Result<SecureImputationOutput> PartyMeanImpute(
+    Transport* transport, PartyData* party, const SecureScanOptions& options) {
+  DASH_RETURN_IF_ERROR(ValidateParties({party, 1}));
+  const int64_t m = party->x.cols();
+  SecureImputationOutput out;
+  Phase2Body body;
+  body.workload = SecureWorkload::kMeanImputation;
+  body.summand = [&](const Matrix&, ThreadPool*) -> Result<Vector> {
+    const ColumnMoments moments = ColumnSumsAndCounts(party->x);
+    Vector flat = moments.sums;
+    flat.insert(flat.end(), moments.counts.begin(), moments.counts.end());
+    return flat;
+  };
+  body.finalize = [&](const Vector& total, int64_t n) -> Result<uint64_t> {
+    out.means.assign(static_cast<size_t>(m), 0.0);
+    out.call_rates.assign(static_cast<size_t>(m), 0.0);
+    for (int64_t j = 0; j < m; ++j) {
+      const double sum = total[static_cast<size_t>(j)];
+      const double count = total[static_cast<size_t>(m + j)];
+      // Secure-sum quantization can leave counts a hair off an integer.
+      const double observed = (count > 0.5) ? count : 0.0;
+      out.means[static_cast<size_t>(j)] =
+          (observed > 0.0) ? sum / observed : 0.0;
+      out.call_rates[static_cast<size_t>(j)] =
+          (n > 0) ? observed / static_cast<double>(n) : 0.0;
+      out.total_missing += n - std::llround(observed);
+    }
+    return WireChecksum(total);
+  };
+  // No permanent covariates: the frame runs Phase 0 only.
+  DASH_ASSIGN_OR_RETURN(
+      out.metrics,
+      RunPartyFrame(transport, Matrix(party->num_samples(), 0), options, body));
+  // This party imputes its own rows with the public means.
+  ImputeWithMeans(out.means, &party->x);
+  return out;
 }
-
-}  // namespace
 
 Result<SecureImputationOutput> SecureMeanImpute(
     std::vector<PartyData>* parties, const SecureScanOptions& options) {
   DASH_RETURN_IF_ERROR(ValidateParties(*parties));
-  const int num_parties = static_cast<int>(parties->size());
-  const int64_t m = (*parties)[0].x.cols();
-
-  SecureImputationOutput out;
-  for (const auto& p : *parties) out.total_missing += CountMissing(p.x);
-
-  InProcessMesh mesh(num_parties);
-  int64_t total_samples = 0;
-  DASH_ASSIGN_OR_RETURN(
-      Vector totals, SimulateParties(&mesh, [&](int i, Transport* t) {
-        // Every party learns the same public N; party 0 reports it.
-        int64_t n = 0;
-        Result<Vector> got = PartyImputationTotals(
-            t, (*parties)[static_cast<size_t>(i)], options, &n);
-        if (i == 0) total_samples = n;
-        return got;
-      }));
-
-  out.means.assign(static_cast<size_t>(m), 0.0);
-  out.call_rates.assign(static_cast<size_t>(m), 0.0);
-  for (int64_t j = 0; j < m; ++j) {
-    const double sum = totals[static_cast<size_t>(j)];
-    const double count = totals[static_cast<size_t>(m + j)];
-    // Secure-sum quantization can leave counts a hair off an integer.
-    const double observed = (count > 0.5) ? count : 0.0;
-    out.means[static_cast<size_t>(j)] =
-        (observed > 0.0) ? sum / observed : 0.0;
-    out.call_rates[static_cast<size_t>(j)] =
-        (total_samples > 0)
-            ? observed / static_cast<double>(total_samples)
-            : 0.0;
-  }
-
-  // Each party imputes its own rows with the public means.
-  for (auto& p : *parties) ImputeWithMeans(out.means, &p.x);
-  out.metrics = MetricsFromTraffic(mesh.metrics());
-  return out;
+  return SimulateWorkload(
+      static_cast<int>(parties->size()), [&](int i, Transport* t) {
+        return PartyMeanImpute(t, &(*parties)[static_cast<size_t>(i)],
+                               options);
+      });
 }
 
 }  // namespace dash

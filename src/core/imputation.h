@@ -28,12 +28,21 @@ struct SecureImputationOutput {
   SecureScanMetrics metrics;
 };
 
-// Simulates the protocol (one thread per party on an in-process mesh):
-// the pooled sample count and one secure sum of every party's
-// [column sums | non-missing counts] under the configured aggregation
-// mode, then imputes every party's X in place. Columns with no observed entries anywhere impute to 0 (and will
-// be flagged untestable by the scan). Parties must already validate
-// (consistent M).
+// One party's side over any Transport: the per-party frame
+// (transport/party_runner.h) without permanent covariates — Phase 0's
+// pooled N, then one secure sum of [column sums | non-missing counts]
+// under the configured aggregation mode — after which the party imputes
+// its own X in place with the revealed means. Columns with no observed
+// entries anywhere impute to 0 (and will be flagged untestable by the
+// scan). Every party reveals the same output; metrics count this
+// party's sends.
+Result<SecureImputationOutput> PartyMeanImpute(
+    Transport* transport, PartyData* party,
+    const SecureScanOptions& options = {});
+
+// The simulator: PartyMeanImpute at every party of an in-process mesh
+// (SimulateWorkload), metrics over all parties. Parties must already
+// validate (consistent M).
 Result<SecureImputationOutput> SecureMeanImpute(
     std::vector<PartyData>* parties, const SecureScanOptions& options = {});
 

@@ -6,83 +6,50 @@
 #include <utility>
 
 #include "linalg/qr.h"
-#include "mpc/secure_sum.h"
-#include "transport/inprocess_mesh.h"
 #include "transport/party_runner.h"
 #include "util/thread_pool.h"
 
 namespace dash {
 namespace {
 
-// Phenotype-side statistics for one block: for each phenotype t, the
-// scalar y_t.y_t, the K-vector Qᵀy_t, and the M-vector X.y_t. The
-// X-side statistics (X.X, QᵀX) come from one summand arena and are
-// shared across phenotypes.
-struct PhenotypeSideStats {
-  Vector yy;    // length T
-  Matrix qty;   // K x T
-  Matrix xy;    // M x T
-};
-
-PhenotypeSideStats ComputePhenotypeSide(const Matrix& x, const Matrix& ys,
-                                        const Matrix& q) {
-  PhenotypeSideStats s;
+// One block's summand: [per t: yy_t | Qᵀy_t(K) | X.y_t(M)] ++ [xx(M) |
+// QᵀX(K*M)]. The X-side tail is shared by every phenotype; it is the
+// [xx | qtx] tail of a summand arena against a zero phenotype.
+Vector MultiSummand(const Matrix& x, const Matrix& ys, const Matrix& q,
+                    ThreadPool* pool) {
   const int64_t t_count = ys.cols();
-  s.yy.assign(static_cast<size_t>(t_count), 0.0);
-  for (int64_t t = 0; t < t_count; ++t) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < ys.rows(); ++i) acc += ys(i, t) * ys(i, t);
-    s.yy[static_cast<size_t>(t)] = acc;
-  }
-  s.qty = TransposeMatMul(q, ys);   // K x T
-  s.xy = TransposeMatMul(x, ys);    // M x T
-  return s;
-}
-
-// A summand arena against a zero phenotype: only its X-side blocks
-// (xx, qtx) carry information.
-Vector XSideArena(const Matrix& x, const Matrix& q, ThreadPool* pool) {
-  const Vector zero_y(static_cast<size_t>(x.rows()), 0.0);
-  return ComputeLocalStatsFlat(x, zero_y, q, pool);
-}
-
-// Flat layout: [T, then per t: yy | qty(K) | xy(M)] ++ [xx(M) | qtx(K*M)],
-// the X-side block being the contiguous [xx | qtx] tail of `x_arena`.
-Vector FlattenMulti(const PhenotypeSideStats& ps, const Vector& x_arena) {
-  const int64_t t_count = static_cast<int64_t>(ps.yy.size());
-  const int64_t k = ps.qty.rows();
-  const int64_t m = ps.xy.rows();
+  const int64_t k = q.cols();
+  const int64_t m = x.cols();
+  const Matrix qty = TransposeMatMul(q, ys);  // K x T
+  const Matrix xy = TransposeMatMul(x, ys);   // M x T
+  const Vector x_arena = ComputeLocalStatsFlat(
+      x, Vector(static_cast<size_t>(x.rows()), 0.0), q, pool);
   Vector flat;
   flat.reserve(static_cast<size_t>(t_count * (1 + k + m) + m + k * m));
   for (int64_t t = 0; t < t_count; ++t) {
-    flat.push_back(ps.yy[static_cast<size_t>(t)]);
-    for (int64_t kk = 0; kk < k; ++kk) flat.push_back(ps.qty(kk, t));
-    for (int64_t j = 0; j < m; ++j) flat.push_back(ps.xy(j, t));
+    double yy = 0.0;
+    for (int64_t i = 0; i < ys.rows(); ++i) yy += ys(i, t) * ys(i, t);
+    flat.push_back(yy);
+    for (int64_t kk = 0; kk < k; ++kk) flat.push_back(qty(kk, t));
+    for (int64_t j = 0; j < m; ++j) flat.push_back(xy(j, t));
   }
-  const StatsWireLayout layout{m, k};
-  flat.insert(flat.end(), x_arena.begin() + layout.xx_offset(),
+  flat.insert(flat.end(), x_arena.begin() + StatsWireLayout{m, k}.xx_offset(),
               x_arena.end());
   return flat;
 }
 
-Status ValidateMultiParties(
-    const std::vector<MultiPhenotypePartyData>& parties) {
-  if (parties.empty()) return InvalidArgumentError("no parties given");
-  const int64_t m = parties[0].x.cols();
-  const int64_t k = parties[0].c.cols();
-  const int64_t t_count = parties[0].ys.cols();
+// One party's shapes against the study's M, K and T.
+Status ValidateMultiParty(const MultiPhenotypePartyData& pd, size_t p,
+                          int64_t m, int64_t k, int64_t t_count) {
   if (t_count < 1) return InvalidArgumentError("need at least one phenotype");
-  for (size_t p = 0; p < parties.size(); ++p) {
-    const auto& pd = parties[p];
-    if (pd.x.cols() != m || pd.c.cols() != k || pd.ys.cols() != t_count ||
-        pd.ys.rows() != pd.x.rows() || pd.c.rows() != pd.x.rows()) {
-      return InvalidArgumentError("party " + std::to_string(p) +
-                                  " has inconsistent shapes");
-    }
-    if (pd.x.rows() < k) {
-      return InvalidArgumentError("party " + std::to_string(p) +
-                                  " has fewer samples than covariates");
-    }
+  if (pd.x.cols() != m || pd.c.cols() != k || pd.ys.cols() != t_count ||
+      pd.ys.rows() != pd.x.rows() || pd.c.rows() != pd.x.rows()) {
+    return InvalidArgumentError("party " + std::to_string(p) +
+                                " has inconsistent shapes");
+  }
+  if (pd.x.rows() < k) {
+    return InvalidArgumentError("party " + std::to_string(p) +
+                                " has fewer samples than covariates");
   }
   return Status::Ok();
 }
@@ -119,32 +86,6 @@ Result<std::vector<ScanResult>> FinalizeAll(const Vector& flat, int64_t n,
   return results;
 }
 
-// One party's side of the secure scan: Phases 0-1, then one secure-sum
-// aggregation covering every phenotype.
-Result<std::vector<ScanResult>> PartyMultiPhenotypeScan(
-    Transport* transport, const MultiPhenotypePartyData& party,
-    const SecureScanOptions& options) {
-  DASH_ASSIGN_OR_RETURN(PartyBasis basis,
-                        RunPartyPhase1(transport, party.c, options.r_combine));
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-  const Vector x_arena = XSideArena(party.x, basis.q_p, pool.get());
-  const PhenotypeSideStats ps = ComputePhenotypeSide(party.x, party.ys,
-                                                     basis.q_p);
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
-  PartySecureVectorSum secure_sum(transport, sum_options);
-  DASH_ASSIGN_OR_RETURN(Vector flat_totals,
-                        secure_sum.Run(Secret<Vector>(
-                            FlattenMulti(ps, x_arena))));
-  return FinalizeAll(flat_totals, basis.total_samples, party.x.cols(),
-                     party.c.cols(), party.ys.cols());
-}
-
 }  // namespace
 
 Result<std::vector<ScanResult>> MultiPhenotypeScan(const Matrix& x,
@@ -166,24 +107,47 @@ Result<std::vector<ScanResult>> MultiPhenotypeScan(const Matrix& x,
   if (options.num_threads > 1) {
     pool = std::make_unique<ThreadPool>(options.num_threads);
   }
-  const PhenotypeSideStats ps = ComputePhenotypeSide(x, ys, q);
-  const Vector flat = FlattenMulti(ps, XSideArena(x, q, pool.get()));
-  return FinalizeAll(flat, x.rows(), x.cols(), c.cols(), ys.cols());
+  return FinalizeAll(MultiSummand(x, ys, q, pool.get()), x.rows(), x.cols(),
+                     c.cols(), ys.cols());
+}
+
+Result<SecureMultiPhenotypeOutput> PartyMultiPhenotypeScan(
+    Transport* transport, const MultiPhenotypePartyData& party,
+    const SecureScanOptions& options) {
+  const int64_t m = party.x.cols();
+  const int64_t k = party.c.cols();
+  const int64_t t_count = party.ys.cols();
+  DASH_RETURN_IF_ERROR(ValidateMultiParty(
+      party, static_cast<size_t>(transport->local_party()), m, k, t_count));
+  SecureMultiPhenotypeOutput out;
+  Phase2Body body;
+  body.workload = SecureWorkload::kMultiPhenotypeScan;
+  body.summand = [&](const Matrix& q_p, ThreadPool* pool) -> Result<Vector> {
+    return MultiSummand(party.x, party.ys, q_p, pool);
+  };
+  body.finalize = [&](const Vector& total, int64_t n) -> Result<uint64_t> {
+    DASH_ASSIGN_OR_RETURN(out.results, FinalizeAll(total, n, m, k, t_count));
+    return WireChecksum(total);
+  };
+  DASH_ASSIGN_OR_RETURN(out.metrics,
+                        RunPartyFrame(transport, party.c, options, body));
+  return out;
 }
 
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options) {
-  DASH_RETURN_IF_ERROR(ValidateMultiParties(parties));
-  InProcessMesh mesh(static_cast<int>(parties.size()));
-  SecureMultiPhenotypeOutput out;
-  DASH_ASSIGN_OR_RETURN(
-      out.results, SimulateParties(&mesh, [&](int i, Transport* t) {
+  if (parties.empty()) return InvalidArgumentError("no parties given");
+  for (size_t p = 0; p < parties.size(); ++p) {
+    DASH_RETURN_IF_ERROR(ValidateMultiParty(parties[p], p, parties[0].x.cols(),
+                                            parties[0].c.cols(),
+                                            parties[0].ys.cols()));
+  }
+  return SimulateWorkload(
+      static_cast<int>(parties.size()), [&](int i, Transport* t) {
         return PartyMultiPhenotypeScan(t, parties[static_cast<size_t>(i)],
                                        options);
-      }));
-  out.metrics = MetricsFromTraffic(mesh.metrics());
-  return out;
+      });
 }
 
 }  // namespace dash

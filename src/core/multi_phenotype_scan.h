@@ -42,9 +42,16 @@ struct SecureMultiPhenotypeOutput {
   SecureScanMetrics metrics;
 };
 
-// Secure multi-party version, simulated with one thread per party on an
-// in-process mesh: Phases 0-1 plus one secure-sum aggregation covering
-// all phenotypes.
+// One party's side of the secure scan over any Transport: the per-party
+// frame (transport/party_runner.h) with one secure sum covering every
+// phenotype. Every party reveals the same results; metrics count this
+// party's sends.
+Result<SecureMultiPhenotypeOutput> PartyMultiPhenotypeScan(
+    Transport* transport, const MultiPhenotypePartyData& party,
+    const SecureScanOptions& options = {});
+
+// The simulator: PartyMultiPhenotypeScan at every party of an
+// in-process mesh (SimulateWorkload), metrics over all parties.
 Result<SecureMultiPhenotypeOutput> SecureMultiPhenotypeScan(
     const std::vector<MultiPhenotypePartyData>& parties,
     const SecureScanOptions& options = {});

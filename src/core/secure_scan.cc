@@ -64,16 +64,12 @@ Result<SecureScanOutput> SecureAssociationScan::Run(
     triples = dealer.Deal(k > 0 ? ProjectionTripleCount(k, m) : 0);
   }
 
-  DASH_ASSIGN_OR_RETURN(
-      SecureScanOutput out,
-      SimulateParties(mesh, [&](int i, Transport* t) {
-        const PartyData& party = parties[static_cast<size_t>(i)];
-        return beaver ? RunPartySecureScan(t, party, options_,
-                                           triples[static_cast<size_t>(i)])
-                      : RunPartySecureScan(t, party, options_);
-      }));
-  out.metrics = MetricsFromTraffic(mesh->metrics());
-  return out;
+  return SimulateWorkload(mesh, [&](int i, Transport* t) {
+    const PartyData& party = parties[static_cast<size_t>(i)];
+    return beaver ? RunPartySecureScan(t, party, options_,
+                                       triples[static_cast<size_t>(i)])
+                  : RunPartySecureScan(t, party, options_);
+  });
 }
 
 }  // namespace dash

@@ -24,6 +24,7 @@
 #define DASH_CORE_SECURE_SCAN_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/distributed_qr.h"
@@ -123,6 +124,25 @@ struct SecureScanOutput {
   ScanResult result;
   SecureScanMetrics metrics;
 };
+
+// The simulator of any secure workload: party_entry(i, transport) — a
+// per-party entry point returning Result<Output> with a `metrics`
+// member — runs at every endpoint of `mesh` on its own thread
+// (SimulateParties), and the revealed output carries the union of all
+// parties' traffic instead of one party's.
+template <typename Fn>
+auto SimulateWorkload(InProcessMesh* mesh, Fn party_entry) {
+  auto out = SimulateParties(mesh, std::move(party_entry));
+  if (out.ok()) out->metrics = MetricsFromTraffic(mesh->metrics());
+  return out;
+}
+
+// Same, over a private mesh of `num_parties` endpoints.
+template <typename Fn>
+auto SimulateWorkload(int num_parties, Fn party_entry) {
+  InProcessMesh mesh(num_parties);
+  return SimulateWorkload(&mesh, std::move(party_entry));
+}
 
 class SecureAssociationScan {
  public:

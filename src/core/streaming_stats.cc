@@ -106,13 +106,16 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
         << "panel " << p << " shape drifted from the source's geometry";
 
     // Slice this panel's rows of y and q into dense scratch the packed
-    // kernel can consume directly (q rows are contiguous, one memcpy).
+    // kernel can consume directly (q rows are contiguous, one memcpy;
+    // none when K = 0, where q holds no storage to copy from).
     y_panel.assign(y.begin() + r0, y.begin() + r0 + rows);
     if (q_panel.rows() != rows || q_panel.cols() != k) {
       q_panel = Matrix(rows, k);
     }
-    std::memcpy(q_panel.data(), q.row_data(r0),
-                static_cast<size_t>(rows * k) * sizeof(double));
+    if (k > 0) {
+      std::memcpy(q_panel.data(), q.row_data(r0),
+                  static_cast<size_t>(rows * k) * sizeof(double));
+    }
 
     ComputeStatsColumnsPacked(*panel, y_panel, q_panel, 0, m, view,
                               options.pool);
@@ -152,8 +155,10 @@ Result<StreamingStatsResult> ComputeLocalStatsStreamed(
   // (FillHeader in suff_stats.cc), so the header is bit-identical too.
   result.flat[static_cast<size_t>(layout.yy_offset())] = SquaredNorm(y);
   const Vector qty = TransposeMatVec(q, y);
-  std::memcpy(result.flat.data() + layout.qty_offset(), qty.data(),
-              static_cast<size_t>(k) * sizeof(double));
+  if (k > 0) {
+    std::memcpy(result.flat.data() + layout.qty_offset(), qty.data(),
+                static_cast<size_t>(k) * sizeof(double));
+  }
   return result;
 }
 

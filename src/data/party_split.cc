@@ -4,7 +4,7 @@
 
 namespace dash {
 
-Status ValidateParties(const std::vector<PartyData>& parties) {
+Status ValidateParties(std::span<const PartyData> parties) {
   if (parties.empty()) return InvalidArgumentError("no parties given");
   const int64_t m = parties[0].x.cols();
   // K = 0 is permitted: the per-party-centering mode absorbs the

@@ -10,6 +10,7 @@
 #define DASH_DATA_PARTY_SPLIT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -28,7 +29,7 @@ struct PartyData {
 
 // Validates a party set: consistent M and K, matching row counts, and
 // each party tall enough for a local QR (N_p >= K >= 1).
-Status ValidateParties(const std::vector<PartyData>& parties);
+Status ValidateParties(std::span<const PartyData> parties);
 
 // Slices rows of a pooled study into |counts| parties; counts must sum
 // to the row count.

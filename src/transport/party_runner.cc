@@ -27,6 +27,10 @@
 namespace dash {
 namespace {
 
+constexpr const char* kWorkloadNames[] = {
+    "association scan", "multi-phenotype scan", "grouped scan",
+    "mean imputation", "compressed study"};
+
 // Local-only digest of everything Phase 1 depends on: the party's
 // (preprocessed) covariate slab, its sample count, and the Phase-1
 // options that change the pooled R. FNV-1a over the raw double bits —
@@ -34,94 +38,81 @@ namespace {
 // reproduce the original transcript bit for bit. The digest never
 // leaves the process; the kPhase1Probe round only carries a
 // have/have-not bit.
-uint64_t Phase1Fingerprint(const PartyData& party, int64_t absorbed_params,
-                           const SecureScanOptions& options) {
-  const uint64_t header[] = {static_cast<uint64_t>(party.num_samples()),
-                             static_cast<uint64_t>(party.c.cols()),
-                             static_cast<uint64_t>(absorbed_params),
+uint64_t Phase1Fingerprint(const Matrix& c, const SecureScanOptions& options) {
+  const uint64_t header[] = {static_cast<uint64_t>(c.rows()),
+                             static_cast<uint64_t>(c.cols()),
                              static_cast<uint64_t>(options.r_combine)};
   const uint64_t h = Fnv1aBytes(header, sizeof(header));
-  return Fnv1aBytes(party.c.data(),
-                    static_cast<size_t>(party.c.size()) * sizeof(double), h);
+  return Fnv1aBytes(c.data(), static_cast<size_t>(c.size()) * sizeof(double),
+                    h);
 }
 
-// The protocol proper; RunPartySecureScan wraps it with the abort
-// notification and round tagging. `stream` non-null switches Phase 2 to
-// the out-of-core path (X from a PanelSource, checkpoint/resume);
-// `beaver_triples` non-null carries this party's dealt triple shares for
-// the Beaver projection.
-Result<SecureScanOutput> RunPartyScanProtocol(
-    Transport* transport, const PartyData& input_party,
-    const SecureScanOptions& options, Phase1State* phase1,
-    const StreamingPartyScan* stream,
-    const std::vector<Secret<BeaverTripleShare>>* beaver_triples) {
+// The one derivation of a workload's secure-sum options. The mask
+// domain keeps pairwise mask keys apart across concurrent sessions over
+// one mesh (the session id; PROTOCOL.md's session-layer note) and
+// across workloads run with one seed (the workload, above the session
+// id's 32 bits). A sessionless association scan keeps domain 0 — the
+// exact historical chain.
+SecureSumOptions SumOptionsFor(const SecureScanOptions& options,
+                               uint32_t session_id, SecureWorkload workload) {
+  SecureSumOptions sum_options;
+  sum_options.mode = options.aggregation;
+  sum_options.frac_bits = options.frac_bits;
+  sum_options.seed = options.seed;
+  sum_options.mask_domain =
+      (static_cast<uint64_t>(workload) << 32) | session_id;
+  return sum_options;
+}
+
+// Phase 0: broadcasts this party's public sample count and returns the
+// pooled N (no traffic when P = 1).
+Result<int64_t> PooledSampleCount(Transport* transport,
+                                  int64_t local_samples) {
   const int local = transport->local_party();
   const int num_parties = transport->num_parties();
-  const bool beaver =
-      options.projection == ProjectionSecurity::kBeaverDotProducts;
-  if (beaver && beaver_triples == nullptr) {
-    return UnimplementedError(
-        "the Beaver-triple projection needs a trusted triple dealer, which "
-        "only the in-process simulator provides; use "
-        "ProjectionSecurity::kRevealProjectedSums");
+  if (num_parties == 1) return local_samples;
+  transport->BeginRound();
+  ByteWriter w;
+  w.PutI64(local_samples);
+  DASH_ROUND(phase0_samplecount, kSampleCount);
+  DASH_RETURN_IF_ERROR(
+      transport->Broadcast(local, MessageTag::kSampleCount, w.Take()));
+  int64_t total = 0;
+  for (int q = 0; q < num_parties; ++q) {
+    if (q == local) {
+      total += local_samples;
+      continue;
+    }
+    DASH_ROUND(phase0_samplecount, kSampleCount);
+    DASH_ASSIGN_OR_RETURN(
+        Message msg, transport->Receive(local, q, MessageTag::kSampleCount));
+    ByteReader r(msg.payload);
+    DASH_ASSIGN_OR_RETURN(int64_t n_q, r.GetI64());
+    total += n_q;
   }
-  if (stream != nullptr) {
-    if (stream->source == nullptr) {
-      return InvalidArgumentError("streamed scan: no PanelSource supplied");
-    }
-    if (options.center_per_party) {
-      return InvalidArgumentError(
-          "streamed scan: center_per_party mutates X, which is immutable "
-          "on disk — center before packing (dash_pack)");
-    }
-    if (beaver) {
-      return InvalidArgumentError(
-          "streamed scan: the Beaver projection needs X in memory; "
-          "stream with kRevealProjectedSums");
-    }
-    if (stream->source->num_samples() != input_party.num_samples()) {
-      return InvalidArgumentError(
-          "streamed scan: study has " +
-          std::to_string(stream->source->num_samples()) +
-          " samples but y/C carry " +
-          std::to_string(input_party.num_samples()));
-    }
-  }
-  DASH_RETURN_IF_ERROR(ValidateParties({input_party}));
+  return total;
+}
+
+// Phase 1: this party's rows Q_p = C_p R⁻¹ of the pooled basis (no
+// traffic when K = 0).
+Result<Matrix> PartyBasisRows(Transport* transport, const Matrix& c,
+                              RCombineMode mode) {
+  if (c.cols() == 0) return Matrix(c.rows(), 0);
+  DASH_ASSIGN_OR_RETURN(Matrix local_r, QrRFactor(c));
+  DASH_ASSIGN_OR_RETURN(Matrix r, PartyCombineRFactors(transport, local_r, mode));
+  DASH_ASSIGN_OR_RETURN(Matrix r_inverse, InvertUpperTriangular(r));
+  return MatMul(c, r_inverse);
+}
+
+// The frame's rounds; RunPartyFrame wraps them with the abort notice.
+Result<SecureScanMetrics> RunFrameProtocol(Transport* transport,
+                                           const Matrix& c,
+                                           const SecureScanOptions& options,
+                                           const Phase2Body& body,
+                                           Phase1State* phase1) {
+  const int local = transport->local_party();
+  const int num_parties = transport->num_parties();
   if (options.trace != nullptr) transport->AttachTrace(options.trace);
-
-  // Per-party preprocessing: centering is a within-party operation.
-  const PartyData* party = &input_party;
-  std::vector<PartyData> centered;
-  // Model parameters the preprocessing absorbed: both Phase-2 branches
-  // finalize with dof = N − K − 1 − absorbed_params.
-  int64_t absorbed_params = 0;
-  if (options.center_per_party) {
-    for (int64_t j = 0; j < input_party.c.cols(); ++j) {
-      bool constant = input_party.c.rows() > 0;
-      for (int64_t i = 1; i < input_party.c.rows() && constant; ++i) {
-        constant = (input_party.c(i, j) == input_party.c(0, j));
-      }
-      if (constant && input_party.c.rows() > 0) {
-        return InvalidArgumentError(
-            "center_per_party absorbs the intercept; remove constant "
-            "column " + std::to_string(j) + " from C");
-      }
-    }
-    centered.push_back(input_party);
-    CenterPerParty(&centered);
-    party = &centered[0];
-    absorbed_params = num_parties;
-  }
-
-  const int64_t m =
-      stream != nullptr ? stream->source->num_variants() : party->x.cols();
-  const int64_t k = party->c.cols();
-  if (beaver &&
-      static_cast<int64_t>(beaver_triples->size()) !=
-          (k > 0 ? ProjectionTripleCount(k, m) : 0)) {
-    return InvalidArgumentError("Beaver triple count does not match K, M");
-  }
 
   // Phase-1 cache probe (one optional round): each party broadcasts ONE
   // public bit — "I hold valid Phase-1 state for this cohort" — and the
@@ -132,7 +123,7 @@ Result<SecureScanOutput> RunPartyScanProtocol(
   uint64_t fingerprint = 0;
   bool cache_hit = false;
   if (phase1 != nullptr) {
-    fingerprint = Phase1Fingerprint(*party, absorbed_params, options);
+    fingerprint = Phase1Fingerprint(c, options);
     const bool have =
         phase1->valid && phase1->local_fingerprint == fingerprint;
     if (num_parties > 1) {
@@ -176,11 +167,10 @@ Result<SecureScanOutput> RunPartyScanProtocol(
         phase1->q_p,
         "phase1-cache: this party's own cached Q_p rows, reused in-process");
   } else {
-    DASH_ASSIGN_OR_RETURN(PartyBasis basis,
-                          RunPartyPhase1(transport, party->c,
-                                         options.r_combine));
-    total_samples = basis.total_samples;
-    q_p = std::move(basis.q_p);
+    DASH_ASSIGN_OR_RETURN(total_samples,
+                          PooledSampleCount(transport, c.rows()));
+    DASH_ASSIGN_OR_RETURN(q_p,
+                          PartyBasisRows(transport, c, options.r_combine));
     if (phase1 != nullptr) {
       phase1->valid = true;
       phase1->local_fingerprint = fingerprint;
@@ -189,105 +179,23 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     }
   }
 
-  SecureSumOptions sum_options;
-  sum_options.mode = options.aggregation;
-  sum_options.frac_bits = options.frac_bits;
-  sum_options.seed = options.seed;
-  // Concurrent sessions over one mesh must never share mask keys: the
-  // session id domain-separates the seed chain (see PartySecureVectorSum
-  // and PROTOCOL.md's session-layer note). The sessionless stream keeps
-  // domain 0 — the exact historical chain.
-  sum_options.mask_domain = transport->session_id();
-  PartySecureVectorSum secure_sum(transport, sum_options);
-
-  ScanResult result;
-  int64_t resumed_from_panel = 0;
-  int64_t panels_streamed = 0;
-  int64_t checkpoints_written = 0;
-  if (beaver) {
-    // Beaver variant: the orthogonal statistics (y.y, X.y, X.X) are
-    // summed as usual, but the projected K-vectors never leave the party
-    // — only their dot products are opened.
-    const Vector arena = PartyLocalStatsFlat(*party, q_p, pool.get());
-    const StatsWireLayout layout{m, k};
-    // [yy | xy | xx]: the header's yy, then xy and xx, which sit
-    // contiguously in the arena.
-    Vector plain;
-    plain.reserve(static_cast<size_t>(1 + 2 * m));
-    plain.push_back(arena[static_cast<size_t>(layout.yy_offset())]);
-    plain.insert(plain.end(), arena.begin() + layout.xy_offset(),
-                 arena.begin() + layout.qtx_offset());
-    Vector qty(arena.begin() + layout.qty_offset(),
-               arena.begin() + layout.xy_offset());
-    Matrix qtx(k, m);
-    std::copy(arena.begin() + layout.qtx_offset(), arena.end(), qtx.data());
-
-    DASH_ASSIGN_OR_RETURN(Vector plain_totals,
-                          secure_sum.Run(Secret<Vector>(std::move(plain))));
-    DASH_ASSIGN_OR_RETURN(
-        ProjectedStats projected,
-        PartySecureProjection(transport, Secret<Vector>(std::move(qty)),
-                              Secret<Matrix>(std::move(qtx)),
-                              *beaver_triples, options.projection_frac_bits));
-
-    // A view into plain_totals = [yy | xy | xx] and the opened dot
-    // products.
-    const std::span<const double> plain_view(plain_totals);
-    ProjectedSufficientStats totals;
-    totals.num_samples = total_samples - absorbed_params;
-    totals.num_covariates = k;
-    totals.yy = plain_view[0];
-    totals.xy = plain_view.subspan(1, static_cast<size_t>(m));
-    totals.xx = plain_view.subspan(static_cast<size_t>(1 + m));
-    totals.qty_qty = projected.qty_qty;
-    totals.qtx_qty = projected.qtx_qty;
-    totals.qtx_qtx = projected.qtx_qtx;
-    DASH_ASSIGN_OR_RETURN(result, FinalizeScanProjected(totals));
-  } else {
-    Vector flat;
-    if (stream != nullptr) {
-      // Stage 3 (local, out-of-core): stream X's panels into the
-      // wire-order summand, checkpointing as configured. Bit-identical
-      // to the in-memory arena (core/streaming_stats.h).
-      StreamingStatsOptions stream_opts = stream->options;
-      stream_opts.pool = pool.get();
-      DASH_ASSIGN_OR_RETURN(StreamingStatsResult streamed,
-                            ComputeLocalStatsStreamed(stream->source, party->y,
-                                                      q_p, stream_opts));
-      resumed_from_panel = streamed.resumed_from_panel;
-      panels_streamed = streamed.panels_streamed;
-      checkpoints_written = streamed.checkpoints_written;
-      if (resumed_from_panel > 0) {
-        DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
-                       << "panel " << resumed_from_panel << "/"
-                       << stream->source->num_panels();
-      }
-      flat = std::move(streamed.flat);
-    } else {
-      // Stage 3 (local): our summand, computed directly into a
-      // wire-order arena (zero-copy flatten).
-      flat = PartyLocalStatsFlat(*party, q_p, pool.get());
-    }
-
-    // Stage 4 (network): one secure-sum aggregation of everything.
-    DASH_ASSIGN_OR_RETURN(Vector flat_totals,
-                          secure_sum.Run(Secret<Vector>(std::move(flat))));
-
-    // Stage 5 (local, public): Lemma 2.1 finalization.
-    DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
-                          UnflattenStats(flat_totals, m, k));
-    totals.num_samples = total_samples - absorbed_params;
-    DASH_ASSIGN_OR_RETURN(result, FinalizeScan(totals));
-  }
+  // Phase 2: the workload's summand, one secure sum, its finalizer.
+  DASH_ASSIGN_OR_RETURN(Vector summand, body.summand(q_p, pool.get()));
+  PartySecureVectorSum secure_sum(
+      transport,
+      SumOptionsFor(options, transport->session_id(), body.workload));
+  DASH_ASSIGN_OR_RETURN(Vector total,
+                        secure_sum.Run(Secret<Vector>(std::move(summand))));
+  DASH_ASSIGN_OR_RETURN(const uint64_t checksum,
+                        body.finalize(total, total_samples));
 
   // Commit round: broadcast the checksum of the result we are about to
   // reveal and require every peer's to match. This is the last line of
   // defense against faults no other layer can see (e.g. a same-tag
   // same-length reorder): instead of parties walking away with
-  // different numbers, the scan fails with DataLoss at every party.
+  // different numbers, the workload fails with DataLoss at every party.
   if (options.commit_round && num_parties > 1) {
     transport->BeginRound();
-    const uint64_t checksum = ScanResultChecksum(result);
     ByteWriter w;
     w.PutU64(checksum);
     DASH_ROUND(phase4_commit, kCommit);
@@ -310,43 +218,190 @@ Result<SecureScanOutput> RunPartyScanProtocol(
     }
   }
 
-  // The revealed (and, when enabled, commit-verified) result is in
-  // hand: the checkpoint has served its purpose. A crash before this
-  // point keeps the snapshot for the next run.
-  if (stream != nullptr && !stream->options.checkpoint_path.empty()) {
-    RemoveScanCheckpoint(stream->options.checkpoint_path);
-  }
-
-  SecureScanOutput out;
-  out.result = std::move(result);
-  out.metrics.total_bytes = transport->metrics().total_bytes();
-  out.metrics.total_messages = transport->metrics().total_messages();
-  out.metrics.max_link_bytes = transport->metrics().MaxLinkBytes();
-  out.metrics.rounds = transport->metrics().rounds();
-  out.metrics.phase1_cache_hit = cache_hit;
-  out.metrics.streamed = stream != nullptr;
-  out.metrics.resumed_from_panel = resumed_from_panel;
-  out.metrics.panels_streamed = panels_streamed;
-  out.metrics.checkpoints_written = checkpoints_written;
-  DASH_LOG(Info) << "party " << local << "/" << num_parties
-                 << " secure scan: N=" << total_samples << " M=" << m
-                 << " K=" << k << " mode="
-                 << AggregationModeName(options.aggregation)
-                 << " sent_bytes=" << out.metrics.total_bytes;
-  return out;
+  SecureScanMetrics metrics = MetricsFromTraffic(transport->metrics());
+  metrics.phase1_cache_hit = cache_hit;
+  DASH_LOG(Info) << "party " << local << "/" << num_parties << " secure "
+                 << kWorkloadNames[static_cast<size_t>(body.workload)]
+                 << ": N=" << total_samples << " K=" << c.cols()
+                 << " mode=" << AggregationModeName(options.aggregation)
+                 << " sent_bytes=" << metrics.total_bytes;
+  return metrics;
 }
 
-// Shared tail of every public entry point: validate the transport
-// binding, run the protocol, and on failure best-effort notify peers.
-Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
+// The association scan through the frame. `stream` non-null switches
+// Phase 2 to the out-of-core path (X from a PanelSource,
+// checkpoint/resume); `beaver_triples` non-null carries this party's
+// dealt triple shares for the Beaver projection.
+Result<SecureScanOutput> RunScan(
     Transport* transport, const PartyData& input_party,
     const SecureScanOptions& options, Phase1State* phase1,
     const StreamingPartyScan* stream,
     const std::vector<Secret<BeaverTripleShare>>* beaver_triples) {
   DASH_CHECK(transport != nullptr);
   const int local = transport->local_party();
-  Result<SecureScanOutput> out = RunPartyScanProtocol(
-      transport, input_party, options, phase1, stream, beaver_triples);
+  const bool beaver =
+      options.projection == ProjectionSecurity::kBeaverDotProducts;
+  if (beaver && beaver_triples == nullptr) {
+    return UnimplementedError(
+        "the Beaver-triple projection needs a trusted triple dealer, which "
+        "only the in-process simulator provides; use "
+        "ProjectionSecurity::kRevealProjectedSums");
+  }
+  if (stream != nullptr) {
+    if (stream->source == nullptr) {
+      return InvalidArgumentError("streamed scan: no PanelSource supplied");
+    }
+    if (options.center_per_party) {
+      return InvalidArgumentError(
+          "streamed scan: center_per_party mutates X, which is immutable "
+          "on disk — center before packing (dash_pack)");
+    }
+    if (beaver) {
+      return InvalidArgumentError(
+          "streamed scan: the Beaver projection needs X in memory; "
+          "stream with kRevealProjectedSums");
+    }
+    if (stream->source->num_samples() != input_party.num_samples()) {
+      return InvalidArgumentError(
+          "streamed scan: study has " +
+          std::to_string(stream->source->num_samples()) +
+          " samples but y/C carry " +
+          std::to_string(input_party.num_samples()));
+    }
+  }
+  DASH_RETURN_IF_ERROR(ValidateParties({&input_party, 1}));
+
+  // Per-party preprocessing: centering is a within-party operation.
+  const PartyData* party = &input_party;
+  std::vector<PartyData> centered;
+  // Model parameters the preprocessing absorbed: both finalizers use
+  // dof = N − K − 1 − absorbed_params.
+  int64_t absorbed_params = 0;
+  if (options.center_per_party) {
+    for (int64_t j = 0; j < input_party.c.cols(); ++j) {
+      bool constant = input_party.c.rows() > 0;
+      for (int64_t i = 1; i < input_party.c.rows() && constant; ++i) {
+        constant = (input_party.c(i, j) == input_party.c(0, j));
+      }
+      if (constant && input_party.c.rows() > 0) {
+        return InvalidArgumentError(
+            "center_per_party absorbs the intercept; remove constant "
+            "column " + std::to_string(j) + " from C");
+      }
+    }
+    centered.push_back(input_party);
+    CenterPerParty(&centered);
+    party = &centered[0];
+    absorbed_params = transport->num_parties();
+  }
+
+  const int64_t m =
+      stream != nullptr ? stream->source->num_variants() : party->x.cols();
+  const int64_t k = party->c.cols();
+  if (beaver &&
+      static_cast<int64_t>(beaver_triples->size()) !=
+          (k > 0 ? ProjectionTripleCount(k, m) : 0)) {
+    return InvalidArgumentError("Beaver triple count does not match K, M");
+  }
+
+  SecureScanOutput out;
+  StreamingStatsResult streamed;
+  // The Beaver variant's projected K-vectors, which never leave the
+  // party: only their dot products are opened.
+  Vector qty;
+  Matrix qtx(0, 0);
+  Phase2Body body;
+  body.workload = SecureWorkload::kAssociationScan;
+  body.summand = [&](const Matrix& q_p, ThreadPool* pool) -> Result<Vector> {
+    if (stream != nullptr) {
+      // Out-of-core: stream X's panels into the wire-order summand,
+      // checkpointing as configured. Bit-identical to the in-memory
+      // arena (core/streaming_stats.h).
+      StreamingStatsOptions stream_opts = stream->options;
+      stream_opts.pool = pool;
+      DASH_ASSIGN_OR_RETURN(streamed,
+                            ComputeLocalStatsStreamed(stream->source, party->y,
+                                                      q_p, stream_opts));
+      if (streamed.resumed_from_panel > 0) {
+        DASH_LOG(Info) << "party " << local << " resumed from checkpoint at "
+                       << "panel " << streamed.resumed_from_panel << "/"
+                       << stream->source->num_panels();
+      }
+      return std::move(streamed.flat);
+    }
+    // Our summand, computed directly into a wire-order arena.
+    Vector arena = PartyLocalStatsFlat(*party, q_p, pool);
+    if (!beaver) return arena;
+    // Beaver: the orthogonal statistics [yy | xy | xx] are summed as
+    // usual (xy and xx sit contiguously in the arena); Qᵀy and QᵀX stay.
+    const StatsWireLayout layout{m, k};
+    Vector plain;
+    plain.reserve(static_cast<size_t>(1 + 2 * m));
+    plain.push_back(arena[static_cast<size_t>(layout.yy_offset())]);
+    plain.insert(plain.end(), arena.begin() + layout.xy_offset(),
+                 arena.begin() + layout.qtx_offset());
+    qty.assign(arena.begin() + layout.qty_offset(),
+               arena.begin() + layout.xy_offset());
+    qtx = Matrix(k, m);
+    std::copy(arena.begin() + layout.qtx_offset(), arena.end(), qtx.data());
+    return plain;
+  };
+  body.finalize = [&](const Vector& total,
+                      int64_t pooled_samples) -> Result<uint64_t> {
+    // Lemma 2.1 finalization (local, public).
+    if (beaver) {
+      DASH_ASSIGN_OR_RETURN(
+          ProjectedStats projected,
+          PartySecureProjection(transport, Secret<Vector>(std::move(qty)),
+                                Secret<Matrix>(std::move(qtx)),
+                                *beaver_triples, options.projection_frac_bits));
+      // A view into total = [yy | xy | xx] and the opened dot products.
+      const std::span<const double> plain_view(total);
+      ProjectedSufficientStats totals;
+      totals.num_samples = pooled_samples - absorbed_params;
+      totals.num_covariates = k;
+      totals.yy = plain_view[0];
+      totals.xy = plain_view.subspan(1, static_cast<size_t>(m));
+      totals.xx = plain_view.subspan(static_cast<size_t>(1 + m));
+      totals.qty_qty = projected.qty_qty;
+      totals.qtx_qty = projected.qtx_qty;
+      totals.qtx_qtx = projected.qtx_qtx;
+      DASH_ASSIGN_OR_RETURN(out.result, FinalizeScanProjected(totals));
+    } else {
+      DASH_ASSIGN_OR_RETURN(ScanSufficientStats totals,
+                            UnflattenStats(total, m, k));
+      totals.num_samples = pooled_samples - absorbed_params;
+      DASH_ASSIGN_OR_RETURN(out.result, FinalizeScan(totals));
+    }
+    return ScanResultChecksum(out.result);
+  };
+  DASH_ASSIGN_OR_RETURN(out.metrics, RunPartyFrame(transport, party->c,
+                                                   options, body, phase1));
+  if (stream != nullptr) {
+    out.metrics.streamed = true;
+    out.metrics.resumed_from_panel = streamed.resumed_from_panel;
+    out.metrics.panels_streamed = streamed.panels_streamed;
+    out.metrics.checkpoints_written = streamed.checkpoints_written;
+    // The revealed (and, when enabled, commit-verified) result is in
+    // hand: the checkpoint has served its purpose. A crash before this
+    // point keeps the snapshot for the next run.
+    if (!stream->options.checkpoint_path.empty()) {
+      RemoveScanCheckpoint(stream->options.checkpoint_path);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<SecureScanMetrics> RunPartyFrame(Transport* transport, const Matrix& c,
+                                        const SecureScanOptions& options,
+                                        const Phase2Body& body,
+                                        Phase1State* phase1) {
+  DASH_CHECK(transport != nullptr);
+  const int local = transport->local_party();
+  Result<SecureScanMetrics> out =
+      RunFrameProtocol(transport, c, options, body, phase1);
   if (out.ok()) return out;
   const Status cause = out.status();
   const int round = transport->metrics().rounds();
@@ -356,7 +411,7 @@ Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
   // peers stuck in Receive fail with the ORIGINATOR's status code
   // instead of waiting out their own timeouts. Aborts received from a
   // peer are not re-broadcast (no abort storms), and failures before
-  // round 1 (argument validation) concern only this process.
+  // round 1 concern only this process.
   if (round > 0 && !IsAbortStatus(cause)) {
     AbortInfo info;
     info.origin = local;
@@ -378,76 +433,20 @@ Result<SecureScanOutput> RunPartyScanWithAbortPropagation(
                 "round " + std::to_string(round) + ": " + cause.message());
 }
 
-}  // namespace
-
-Result<int64_t> PartyPooledSampleCount(Transport* transport,
-                                       int64_t local_samples) {
-  const int local = transport->local_party();
-  const int num_parties = transport->num_parties();
-  if (num_parties == 1) return local_samples;
-  transport->BeginRound();
-  ByteWriter w;
-  w.PutI64(local_samples);
-  DASH_ROUND(phase0_samplecount, kSampleCount);
-  DASH_RETURN_IF_ERROR(
-      transport->Broadcast(local, MessageTag::kSampleCount, w.Take()));
-  int64_t total = 0;
-  for (int q = 0; q < num_parties; ++q) {
-    if (q == local) {
-      total += local_samples;
-      continue;
-    }
-    DASH_ROUND(phase0_samplecount, kSampleCount);
-    DASH_ASSIGN_OR_RETURN(
-        Message msg, transport->Receive(local, q, MessageTag::kSampleCount));
-    ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(int64_t n_q, r.GetI64());
-    total += n_q;
-  }
-  return total;
-}
-
-Result<PartyBasis> RunPartyPhase1(Transport* transport, const Matrix& c,
-                                  RCombineMode mode) {
-  PartyBasis basis;
-  DASH_ASSIGN_OR_RETURN(basis.total_samples,
-                        PartyPooledSampleCount(transport, c.rows()));
-  if (c.cols() == 0) {
-    basis.q_p = Matrix(c.rows(), 0);
-    return basis;
-  }
-  DASH_ASSIGN_OR_RETURN(Matrix local_r, QrRFactor(c));
-  DASH_ASSIGN_OR_RETURN(Matrix r, PartyCombineRFactors(transport, local_r, mode));
-  DASH_ASSIGN_OR_RETURN(Matrix r_inverse, InvertUpperTriangular(r));
-  basis.q_p = MatMul(c, r_inverse);
-  return basis;
-}
-
-Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
-                                            const PartyData& input_party,
-                                            const SecureScanOptions& options) {
-  return RunPartyScanWithAbortPropagation(transport, input_party, options,
-                                          /*phase1=*/nullptr,
-                                          /*stream=*/nullptr,
-                                          /*beaver_triples=*/nullptr);
-}
-
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& input_party,
                                             const SecureScanOptions& options,
                                             Phase1State* phase1) {
-  return RunPartyScanWithAbortPropagation(transport, input_party, options,
-                                          phase1, /*stream=*/nullptr,
-                                          /*beaver_triples=*/nullptr);
+  return RunScan(transport, input_party, options, phase1, /*stream=*/nullptr,
+                 /*beaver_triples=*/nullptr);
 }
 
 Result<SecureScanOutput> RunPartySecureScan(
     Transport* transport, const PartyData& input_party,
     const SecureScanOptions& options,
     const std::vector<Secret<BeaverTripleShare>>& beaver_triples) {
-  return RunPartyScanWithAbortPropagation(transport, input_party, options,
-                                          /*phase1=*/nullptr,
-                                          /*stream=*/nullptr, &beaver_triples);
+  return RunScan(transport, input_party, options, /*phase1=*/nullptr,
+                 /*stream=*/nullptr, &beaver_triples);
 }
 
 Result<SecureScanOutput> RunPartySecureScanStreamed(
@@ -460,8 +459,8 @@ Result<SecureScanOutput> RunPartySecureScanStreamed(
   party.x = Matrix(static_cast<int64_t>(y.size()), 0);
   party.y = y;
   party.c = c;
-  return RunPartyScanWithAbortPropagation(transport, party, options, phase1,
-                                          &stream, /*beaver_triples=*/nullptr);
+  return RunScan(transport, party, options, phase1, &stream,
+                 /*beaver_triples=*/nullptr);
 }
 
 }  // namespace dash

@@ -1,25 +1,36 @@
-// One party's end of the secure association scan — the scan's only
-// implementation.
+// One party's end of every secure workload: the per-party frame, and
+// the association scan that runs in it.
 //
-// RunPartySecureScan performs the sends party `transport->local_party()`
-// makes and consumes the messages addressed to it, round by round. A
-// deployment runs it once per process over a TcpTransport (dash_party)
-// or a SessionChannel (dash_partyd); the in-process simulator
-// (SecureAssociationScan::Run) runs it on P threads over the endpoints
-// of an InProcessMesh (transport/inprocess_mesh.h). Every backend
-// therefore reveals the same ScanResult bit for bit (ring/field sums
-// are order-independent; the public mode and all plaintext reductions
-// fix party-index summation order; doubles travel as exact IEEE-754
-// bit patterns) and exchanges the same per-link traffic.
+// The frame (RunPartyFrame) is the paper's §3 protocol with the Phase-2
+// summand left open, which is all the §5 generalizations change:
+//
+//   Phase-1 cache probe (optional) -> Phase 0 (pooled N) -> Phase 1
+//   (R-combine, this party's rows Q_p) -> summand(Q_p, pool) -> ONE
+//   secure sum -> finalize(total, N) -> commit round
+//
+// A workload supplies only its Phase-2 body (Phase2Body): the summand
+// and a finalizer of the revealed total that returns the value every
+// party commits to. The frame owns the rest: abort propagation (a party
+// that fails mid-protocol best-effort broadcasts a kAbort carrying its
+// status, so every peer fails with the originator's code; PROTOCOL.md
+// "Failure modes"), the thread pool, the secure-sum options with their
+// mask domain, the commit round, and the traffic metrics. A workload
+// with no permanent covariates (a 0-column C) runs Phase 0 only.
+//
+// Every entry runs once per process over a TcpTransport (dash_party) or
+// a SessionChannel (dash_partyd); the in-process simulators run it on P
+// threads over the endpoints of an InProcessMesh (SimulateWorkload in
+// core/secure_scan.h). Every backend therefore reveals the same result
+// bit for bit (ring/field sums are order-independent; the public mode
+// and all plaintext reductions fix party-index summation order; doubles
+// travel as exact IEEE-754 bit patterns) and exchanges the same
+// per-link traffic.
 //
 // Protocol randomness is derived from the shared options.seed: party i
 // draws its share/mask/DH randomness from the i-th output of the
-// SplitMix64 seed chain (mpc/secure_sum.h), so two deployments with
-// equal seeds exchange identical ciphertexts.
-//
-// Failures: a party that fails mid-protocol best-effort broadcasts a
-// kAbort carrying its status, so every peer fails with the originator's
-// code (PROTOCOL.md "Failure modes").
+// SplitMix64 seed chain (mpc/secure_sum.h), started in a domain made of
+// the session id and the workload, so neither two sessions nor two
+// workloads run with one seed ever share a pairwise mask key.
 //
 // ProjectionSecurity::kBeaverDotProducts needs dealt Beaver triples,
 // which only the simulator can provide (the overload taking
@@ -29,6 +40,7 @@
 #define DASH_TRANSPORT_PARTY_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/distributed_qr.h"
@@ -40,6 +52,7 @@
 #include "mpc/beaver.h"
 #include "mpc/secrecy.h"
 #include "transport/transport.h"
+#include "util/thread_pool.h"
 
 namespace dash {
 
@@ -51,7 +64,7 @@ namespace dash {
 // all that remains on the wire.
 //
 // Secrecy: Q_p's rows are derived from the party's private data, so the
-// cached copy stays Secret<Matrix>; RunPartySecureScan reads it back
+// cached copy stays Secret<Matrix>; RunPartyFrame reads it back
 // through an audited DASH_DECLASSIFY (round key `phase1-cache` in
 // tools/secrecy_allowlist.txt) that never moves the bytes off-process.
 // The pooled sample count is public by protocol (phase0 reveal), so it
@@ -73,24 +86,52 @@ struct Phase1State {
   Secret<Matrix> q_p;          // this party's Q_p rows (private)
 };
 
-// Runs the scan as party transport->local_party() holding rows `party`.
-// Blocks until the protocol completes; every party returns the identical
-// revealed result. Metrics cover this party's sends only.
-Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
-                                            const PartyData& party,
-                                            const SecureScanOptions& options);
+// The secure workloads. Each one's secure sums run in their own mask
+// domain; the association scan's is 0, the historical seed chain.
+enum class SecureWorkload : uint32_t {
+  kAssociationScan = 0,
+  kMultiPhenotypeScan = 1,
+  kGroupedScan = 2,
+  kMeanImputation = 3,
+  kCompressedStudy = 4,
+};
 
-// Cache-aware variant. `phase1` (may be null = uncached) is read AND
-// written: when every party arrives with matching valid state — agreed
-// in one extra kPhase1Probe round of a single public have-bit each —
-// Phase 1 is skipped entirely and metrics.phase1_cache_hit is set;
-// otherwise the full protocol runs and `phase1` is refilled. All-or-
-// nothing: one stale party forces the full Phase 1 at every party, so
-// the transcript stays identical at all of them.
+// A workload's Phase 2, run by RunPartyFrame between Phase 1 and the
+// commit round.
+struct Phase2Body {
+  SecureWorkload workload = SecureWorkload::kAssociationScan;
+  // This party's private summand from its rows Q_p (N_p x K) of the
+  // pooled basis; `pool` is the frame's (null = serial).
+  std::function<Result<Vector>(const Matrix& q_p, ThreadPool* pool)> summand;
+  // Finalizes the revealed total with the pooled sample count (it may
+  // run further rounds: the Beaver projection opens its dot products
+  // here) and returns the checksum every party commits to.
+  std::function<Result<uint64_t>(const Vector& total, int64_t pooled_samples)>
+      finalize;
+};
+
+// Runs `body` as party transport->local_party() holding the permanent
+// covariates `c` of its N_p = c.rows() samples. `phase1` (may be null =
+// uncached) is read AND written: when every party arrives with matching
+// valid state — agreed in one extra kPhase1Probe round of a single
+// public have-bit each — Phases 0–1 are skipped and
+// metrics.phase1_cache_hit is set; otherwise they run and `phase1` is
+// refilled. All-or-nothing: one stale party forces the full Phase 1 at
+// every party, so the transcript stays identical at all of them.
+// Metrics cover this party's sends only.
+Result<SecureScanMetrics> RunPartyFrame(Transport* transport, const Matrix& c,
+                                        const SecureScanOptions& options,
+                                        const Phase2Body& body,
+                                        Phase1State* phase1 = nullptr);
+
+// The association scan as party transport->local_party() holding rows
+// `party`, optionally through the Phase-1 cache. Blocks until the
+// protocol completes; every party returns the identical revealed
+// result.
 Result<SecureScanOutput> RunPartySecureScan(Transport* transport,
                                             const PartyData& party,
                                             const SecureScanOptions& options,
-                                            Phase1State* phase1);
+                                            Phase1State* phase1 = nullptr);
 
 // Simulator variant for ProjectionSecurity::kBeaverDotProducts:
 // `beaver_triples` are this party's shares of the
@@ -100,22 +141,6 @@ Result<SecureScanOutput> RunPartySecureScan(
     Transport* transport, const PartyData& party,
     const SecureScanOptions& options,
     const std::vector<Secret<BeaverTripleShare>>& beaver_triples);
-
-// Phase 0 for one party: broadcasts its public sample count and returns
-// the pooled N (no traffic when P = 1).
-Result<int64_t> PartyPooledSampleCount(Transport* transport,
-                                       int64_t local_samples);
-
-// Phases 0–1 for one party holding the permanent covariates `c` of its
-// rows: the pooled N (a public protocol reveal) and this party's private
-// rows Q_p = C_p R⁻¹ of the pooled basis. The scan and the §5 workloads
-// (grouped, multi-phenotype) share it.
-struct PartyBasis {
-  int64_t total_samples = 0;
-  Matrix q_p;  // N_p x K
-};
-Result<PartyBasis> RunPartyPhase1(Transport* transport, const Matrix& c,
-                                  RCombineMode mode);
 
 // Out-of-core scan configuration for RunPartySecureScanStreamed: this
 // party's genotype block streams from `source` one panel at a time

@@ -230,6 +230,38 @@ TEST(MultiPhenotypeTest, MarginalPhenotypeCostIsSmall) {
             3.0 * static_cast<double>(m1.total_bytes));
 }
 
+TEST(MultiPhenotypeTest, RoundsCountTheCommitRound) {
+  Rng rng(31);
+  std::vector<MultiPhenotypePartyData> parties;
+  for (const int64_t n : {int64_t{30}, int64_t{40}, int64_t{35}}) {
+    MultiPhenotypePartyData pd;
+    pd.x = GaussianMatrix(n, 6, &rng);
+    pd.c = GaussianMatrix(n, 2, &rng);
+    pd.ys = GaussianMatrix(n, 3, &rng);
+    parties.push_back(std::move(pd));
+  }
+  SecureScanOptions masked;
+  masked.aggregation = AggregationMode::kMasked;
+  masked.r_combine = RCombineMode::kBroadcastStack;
+  const auto with_commit = SecureMultiPhenotypeScan(parties, masked).value();
+  // 1 sample-count round + 1 R round + 1 DH setup round + 1 masked
+  // broadcast round + 1 commit round, as for the association scan.
+  EXPECT_EQ(with_commit.metrics.rounds, 5);
+
+  SecureScanOptions no_commit = masked;
+  no_commit.commit_round = false;
+  const auto without = SecureMultiPhenotypeScan(parties, no_commit).value();
+  EXPECT_EQ(without.metrics.rounds, 4);
+  // The commit round is P(P-1) checksums of 8 bytes plus the 16-byte
+  // logical header each; the results do not depend on it.
+  EXPECT_EQ(with_commit.metrics.total_bytes - without.metrics.total_bytes,
+            3 * 2 * (8 + 16));
+  for (size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(ScanResultChecksum(with_commit.results[t]),
+              ScanResultChecksum(without.results[t]));
+  }
+}
+
 TEST(MultiPhenotypeTest, ValidatesShapes) {
   MultiPhenotypePartyData bad;
   bad.x = Matrix(10, 3);

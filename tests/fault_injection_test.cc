@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/grouped_scan.h"
 #include "core/scan_result.h"
 #include "core/secure_scan.h"
 #include "data/workloads.h"
@@ -294,6 +295,43 @@ TEST(FaultInjectionTest, EveryFaultKindInEveryRoundInProcess) {
           // not.
           ExpectWeakOutcome(outs, ref_sum, cell);
           break;
+      }
+    }
+  }
+}
+
+// The §5 workloads run in the same per-party frame as the scan, so a
+// fault on one link of a pre-commit round fails every party of a grouped
+// scan with the originator's code: party 2, whose links stay clean,
+// learns it only from the abort notice.
+TEST(FaultInjectionTest, GroupedScanFaultFailsEveryPartyWithOneCode) {
+  const ScanWorkload workload = SmallWorkload();
+  const SecureScanOptions options = BaseOptions();
+  const auto reference = SecureGroupedScan(workload.parties, 2, options);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const int rounds = reference->metrics.rounds;
+  ASSERT_EQ(rounds, 5);  // the last one is the commit round
+
+  for (const FaultKind kind : {FaultKind::kDisconnect, FaultKind::kCorrupt}) {
+    for (int round = 1; round < rounds; ++round) {
+      const std::string cell = std::string("grouped round ") +
+                               std::to_string(round) + " " +
+                               FaultKindName(kind);
+      FaultPlan plan = OneRule(kind, round);
+      plan.rules[0].from = 0;
+      plan.rules[0].to = 1;
+      InProcessMesh mesh(static_cast<int>(workload.parties.size()));
+      const auto outs = RunPerParty(&mesh, [&](int i, Transport* endpoint) {
+        FaultInjectingTransport fault(endpoint, plan);
+        return PartyGroupedScan(&fault,
+                                workload.parties[static_cast<size_t>(i)], 2,
+                                options);
+      });
+      for (size_t i = 0; i < outs.size(); ++i) {
+        ASSERT_FALSE(outs[i].ok())
+            << cell << " party " << i << ": fault went undetected";
+        EXPECT_EQ(outs[i].status().code(), ExpectedCode(kind))
+            << cell << " party " << i << ": " << outs[i].status();
       }
     }
   }

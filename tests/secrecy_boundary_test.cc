@@ -29,6 +29,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/compressed_study.h"
+#include "core/grouped_scan.h"
+#include "core/imputation.h"
+#include "core/multi_phenotype_scan.h"
 #include "core/secure_scan.h"
 #include "data/workloads.h"
 #include "transport/inprocess_mesh.h"
@@ -292,6 +296,91 @@ TEST(SecrecyBoundaryTest, ShamirInProcess) {
 TEST(SecrecyBoundaryTest, PublicShareBaselineIsDeclassified) {
   CheckBoundary(RunInProcess(AggregationMode::kPublicShare, 0xda5b),
                 AggregationMode::kPublicShare);
+}
+
+// ---------------------------------------------------------------------
+// Mask domains: every workload runs its secure sum in its own domain of
+// the seed chain, so two workloads run with ONE seed never derive the
+// same DH exponents, pairwise mask keys, or share randomness. A reused
+// chain would show as a repeated payload: the DH public values would
+// match outright, and a one-phenotype multi-phenotype summand has
+// exactly the scan's length, so its additive/Shamir shares would too.
+
+// The secret-carrying payloads of one workload run: party_entry(i, t)
+// at every party of a fresh mesh, each behind its own recorder.
+template <typename Fn>
+std::vector<std::vector<uint8_t>> SecretPayloads(int num_parties,
+                                                 Fn party_entry) {
+  InProcessMesh mesh(num_parties);
+  const auto per_party = RunPerParty(&mesh, [&](int i, Transport* t) {
+    RecordingTransport recorder(t);
+    EXPECT_TRUE(party_entry(i, &recorder)) << "party " << i;
+    return recorder.sent();
+  });
+  std::vector<std::vector<uint8_t>> payloads;
+  for (const auto& sent : per_party) {
+    for (const auto& msg : sent) {
+      if (IsSecretCarrying(msg.tag)) payloads.push_back(msg.payload);
+    }
+  }
+  return payloads;
+}
+
+TEST(SecrecyBoundaryTest, WorkloadsWithOneSeedNeverRepeatASecretPayload) {
+  const ScanWorkload workload = BoundaryWorkload();
+  const int p = static_cast<int>(workload.parties.size());
+  std::vector<MultiPhenotypePartyData> multi;
+  std::vector<CompressedStudy> compressed;
+  for (const PartyData& party : workload.parties) {
+    const Matrix ys = Matrix::ColumnVector(party.y);
+    multi.push_back({party.x, ys, party.c});
+    compressed.push_back(CompressedStudy::Compress(party.x, ys, party.c).value());
+  }
+  for (const AggregationMode mode :
+       {AggregationMode::kMasked, AggregationMode::kAdditive,
+        AggregationMode::kShamir}) {
+    SecureScanOptions options;
+    options.aggregation = mode;
+    const auto party = [&](int i) -> const PartyData& {
+      return workload.parties[static_cast<size_t>(i)];
+    };
+    const std::vector<
+        std::pair<std::string, std::vector<std::vector<uint8_t>>>>
+        runs = {
+            {"association scan", SecretPayloads(p, [&](int i, Transport* t) {
+               return RunPartySecureScan(t, party(i), options).ok();
+             })},
+            {"multi-phenotype scan",
+             SecretPayloads(p, [&](int i, Transport* t) {
+               return PartyMultiPhenotypeScan(
+                          t, multi[static_cast<size_t>(i)], options)
+                   .ok();
+             })},
+            {"grouped scan", SecretPayloads(p, [&](int i, Transport* t) {
+               return PartyGroupedScan(t, party(i), 1, options).ok();
+             })},
+            {"mean imputation", SecretPayloads(p, [&](int i, Transport* t) {
+               PartyData copy = party(i);
+               return PartyMeanImpute(t, &copy, options).ok();
+             })},
+            {"compressed study", SecretPayloads(p, [&](int i, Transport* t) {
+               return CompressedStudy::PartySecureAggregate(
+                          t, compressed[static_cast<size_t>(i)], options)
+                   .ok();
+             })},
+        };
+    std::map<std::vector<uint8_t>, std::string> sender;
+    for (const auto& [name, payloads] : runs) {
+      ASSERT_FALSE(payloads.empty()) << name;
+      for (const auto& payload : payloads) {
+        const auto [it, fresh] = sender.emplace(payload, name);
+        EXPECT_TRUE(fresh || it->second == name)
+            << AggregationModeName(mode) << ": the " << name
+            << " repeats a secret-carrying payload the " << it->second
+            << " sent";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

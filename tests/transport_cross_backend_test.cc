@@ -15,6 +15,10 @@
 #include <tuple>
 #include <vector>
 
+#include "core/compressed_study.h"
+#include "core/grouped_scan.h"
+#include "core/imputation.h"
+#include "core/multi_phenotype_scan.h"
 #include "core/secure_scan.h"
 #include "data/workloads.h"
 #include "transport/inprocess_mesh.h"
@@ -259,6 +263,84 @@ TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
               reference_net.metrics().BytesSentBy(i))
         << "party " << i;
   }
+}
+
+// The §5 workloads' per-party entry points run over any Transport: one
+// after another over one TCP mesh, they reveal the simulators' results
+// bit for bit.
+TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
+  const ScanWorkload workload = SmallWorkload();
+  const int p = static_cast<int>(workload.parties.size());
+  SecureScanOptions options;
+  options.aggregation = AggregationMode::kMasked;
+  std::vector<MultiPhenotypePartyData> multi;
+  std::vector<CompressedStudy> compressed;
+  for (const PartyData& party : workload.parties) {
+    Matrix ys(party.x.rows(), 2);
+    for (int64_t i = 0; i < ys.rows(); ++i) {
+      ys(i, 0) = party.y[static_cast<size_t>(i)];
+      ys(i, 1) = 0.5 * party.y[static_cast<size_t>(i)] + party.x(i, 0);
+    }
+    multi.push_back({party.x, ys, party.c});
+    compressed.push_back(CompressedStudy::Compress(party.x, ys, party.c).value());
+  }
+  const auto grouped_ref = SecureGroupedScan(workload.parties, 5, options);
+  const auto multi_ref = SecureMultiPhenotypeScan(multi, options);
+  std::vector<PartyData> imputed = workload.parties;
+  const auto impute_ref = SecureMeanImpute(&imputed, options);
+  const auto compressed_ref = CompressedStudy::SecureAggregate(compressed,
+                                                               options);
+  ASSERT_TRUE(grouped_ref.ok()) << grouped_ref.status();
+  ASSERT_TRUE(multi_ref.ok()) << multi_ref.status();
+  ASSERT_TRUE(impute_ref.ok()) << impute_ref.status();
+  ASSERT_TRUE(compressed_ref.ok()) << compressed_ref.status();
+
+  ClusterConfig cluster;
+  for (const uint16_t port : FreePorts(p)) {
+    cluster.endpoints.push_back({"127.0.0.1", port});
+  }
+  TcpTransportOptions tcp_options;
+  tcp_options.connect_timeout_ms = 10000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < p; ++i) {
+    threads.emplace_back([&, i] {
+      const size_t me = static_cast<size_t>(i);
+      auto transport = TcpTransport::Connect(cluster, i, tcp_options);
+      ASSERT_TRUE(transport.ok()) << transport.status();
+      Transport* t = transport.value().get();
+
+      const auto grouped = PartyGroupedScan(t, workload.parties[me], 5, options);
+      ASSERT_TRUE(grouped.ok()) << grouped.status();
+      ExpectBitIdentical(grouped->result.fstat, grouped_ref->result.fstat,
+                         "grouped fstat");
+      ExpectBitIdentical(grouped->result.pval, grouped_ref->result.pval,
+                         "grouped pval");
+
+      const auto phenotypes = PartyMultiPhenotypeScan(t, multi[me], options);
+      ASSERT_TRUE(phenotypes.ok()) << phenotypes.status();
+      ASSERT_EQ(phenotypes->results.size(), 2u);
+      for (size_t k = 0; k < 2; ++k) {
+        EXPECT_EQ(ScanResultChecksum(phenotypes->results[k]),
+                  ScanResultChecksum(multi_ref->results[k]))
+            << "phenotype " << k;
+      }
+
+      PartyData mine = workload.parties[me];
+      const auto impute = PartyMeanImpute(t, &mine, options);
+      ASSERT_TRUE(impute.ok()) << impute.status();
+      ExpectBitIdentical(impute->means, impute_ref->means, "means");
+      ExpectBitIdentical(impute->call_rates, impute_ref->call_rates,
+                         "call rates");
+
+      const auto study =
+          CompressedStudy::PartySecureAggregate(t, compressed[me], options);
+      ASSERT_TRUE(study.ok()) << study.status();
+      EXPECT_EQ(ScanResultChecksum(study->study.ScanAllCovariates(1).value()),
+                ScanResultChecksum(
+                    compressed_ref->study.ScanAllCovariates(1).value()));
+    });
+  }
+  for (auto& t : threads) t.join();
 }
 
 // The Beaver projection needs dealt triples: the simulator deals them,

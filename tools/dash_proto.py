@@ -40,9 +40,11 @@ Rules (stable IDs, mirrored by dash_lint's DLxxx / dash_taint's TLxxx):
 
   PC004 failure paths reach the abort broadcast
       The abort wrapper function named by the model must exist and own
-      the kAbort send site, every declared entry point must route
-      through it, and no function containing round sites may hard-exit
-      (exit/abort/std::terminate) past the abort machinery.
+      the kAbort send site, every declared entry point (in any scanned
+      file) must route through it — by calling it or a free function
+      that transitively does — and no function containing round sites
+      may hard-exit (exit/abort/std::terminate) past the abort
+      machinery.
 
   PC005 reveal keys map to modeled rounds
       Every round key used by tools/secrecy_allowlist.txt maps to at
@@ -737,22 +739,43 @@ def check_pc004(model, facts_by_file, findings):
             "abort wrapper %s does not contain the %s send site — failure "
             "paths cannot notify peers" % (wrapper, abort_round))
 
-    # Every public entry point must route through the wrapper.
+    # Every declared entry point, wherever it is defined under src/, must
+    # route through the wrapper: call it, or call a free function of the
+    # scanned tree that (transitively) does. Member calls (`x.f(`,
+    # `x->f(`) and qualified calls are not followed, so a common method
+    # name can never vouch for an entry.
+    bodies = []  # (short name, relpath, start line, body text)
+    for facts in facts_by_file.values():
+        for (name, start, end) in facts.extents:
+            bodies.append((name.rsplit("::", 1)[-1], facts.relpath, start,
+                           "\n".join(facts.stripped[start - 1:end])))
+
+    def calls_any(body, names):
+        return any(re.search(r"(?<![\w.>:])%s\s*\(" % re.escape(n), body)
+                   for n in names)
+
+    routed = {wrapper}
+    grew = True
+    while grew:
+        grew = False
+        for (short, _, _, body) in bodies:
+            if short not in routed and calls_any(body, routed):
+                routed.add(short)
+                grew = True
+
     for entry in entry_points:
-        exts = [e for e in wrapper_facts.extents
-                if e[0].rsplit("::", 1)[-1] == entry]
+        exts = [b for b in bodies if b[0] == entry]
         if not exts:
             findings.report(
                 wrapper_file, 1, "PC004",
-                "declared entry point %s not found in %s"
-                % (entry, wrapper_file))
+                "declared entry point %s not found in any scanned file"
+                % entry)
             continue
-        for (name, start, end) in exts:  # every overload must route through
-            body = "\n".join(wrapper_facts.stripped[start - 1:end])
-            if not re.search(r"\b%s\s*\(" % re.escape(wrapper), body):
+        for (_, relpath, start, body) in exts:  # every overload must route
+            if not calls_any(body, routed - {entry}):
                 findings.report(
-                    wrapper_file, start, "PC004",
-                    "entry point %s does not call the abort wrapper %s — "
+                    relpath, start, "PC004",
+                    "entry point %s does not reach the abort wrapper %s — "
                     "its failures would strand peers in Receive"
                     % (entry, wrapper))
 
