@@ -1,5 +1,6 @@
 #include "core/secure_scan.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "mpc/beaver.h"
 #include "mpc/secure_projection.h"
 #include "transport/party_runner.h"
+#include "util/check.h"
 
 namespace dash {
 
@@ -21,11 +23,23 @@ const char* ProjectionSecurityName(ProjectionSecurity security) {
 }
 
 SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic) {
+  return MetricsFromTraffic(traffic, TrafficMetrics(traffic.num_parties()));
+}
+
+SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic,
+                                     const TrafficMetrics& start) {
+  DASH_CHECK_EQ(traffic.num_parties(), start.num_parties());
   SecureScanMetrics m;
-  m.total_bytes = traffic.total_bytes();
-  m.total_messages = traffic.total_messages();
-  m.max_link_bytes = traffic.MaxLinkBytes();
-  m.rounds = traffic.rounds();
+  m.total_bytes = traffic.total_bytes() - start.total_bytes();
+  m.total_messages = traffic.total_messages() - start.total_messages();
+  m.rounds = traffic.rounds() - start.rounds();
+  for (int from = 0; from < traffic.num_parties(); ++from) {
+    for (int to = 0; to < traffic.num_parties(); ++to) {
+      m.max_link_bytes =
+          std::max(m.max_link_bytes,
+                   traffic.LinkBytes(from, to) - start.LinkBytes(from, to));
+    }
+  }
   return m;
 }
 

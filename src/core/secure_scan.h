@@ -120,6 +120,12 @@ struct SecureScanMetrics {
 // or InProcessMesh::metrics() for the whole run).
 SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic);
 
+// The same for the traffic `traffic` counted after `start` was copied
+// from it (TrafficMetrics::MergeFrom into an empty ledger): one run's
+// share of a transport that carried earlier runs too.
+SecureScanMetrics MetricsFromTraffic(const TrafficMetrics& traffic,
+                                     const TrafficMetrics& start);
+
 struct SecureScanOutput {
   ScanResult result;
   SecureScanMetrics metrics;

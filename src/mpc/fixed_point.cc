@@ -44,7 +44,14 @@ Result<std::vector<uint64_t>> FixedPointCodec::EncodeVector(
     const Vector& values) const {
   std::vector<uint64_t> out(values.size());
   for (size_t i = 0; i < values.size(); ++i) {
-    DASH_ASSIGN_OR_RETURN(out[i], TryEncode(values[i]));
+    const double scaled = values[i] * scale_;
+    // TryEncode's range test, which NaN and ±inf fail too; the first
+    // failing element gets TryEncode's own error.
+    if (!(scaled >= -9.223372036854775808e18 &&
+          scaled < 9.223372036854775808e18)) {
+      return TryEncode(values[i]).status();
+    }
+    out[i] = static_cast<uint64_t>(static_cast<int64_t>(std::llround(scaled)));
   }
   return out;
 }

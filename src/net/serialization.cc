@@ -6,6 +6,23 @@
 
 namespace dash {
 
+// The vector forms move whole blocks: a host word IS its little-endian
+// wire encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "bulk vector serialization assumes a little-endian host");
+
+namespace {
+
+// Appends the raw bytes of `n` 8-byte words.
+template <typename T>
+void AppendWords(const T* data, size_t n, std::vector<uint8_t>* buffer) {
+  static_assert(sizeof(T) == 8);
+  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
+  buffer->insert(buffer->end(), bytes, bytes + 8 * n);
+}
+
+}  // namespace
+
 void ByteWriter::PutU32(uint32_t v) {
   for (int i = 0; i < 4; ++i) buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
 }
@@ -20,18 +37,18 @@ void ByteWriter::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
 void ByteWriter::PutU64Vector(const std::vector<uint64_t>& v) {
   PutU64(v.size());
-  for (const uint64_t x : v) PutU64(x);
+  AppendWords(v.data(), v.size(), &buffer_);
 }
 
 void ByteWriter::PutDoubleVector(const Vector& v) {
   PutU64(v.size());
-  for (const double x : v) PutDouble(x);
+  AppendWords(v.data(), v.size(), &buffer_);
 }
 
 void ByteWriter::PutMatrix(const Matrix& m) {
   PutI64(m.rows());
   PutI64(m.cols());
-  for (int64_t i = 0; i < m.size(); ++i) PutDouble(m.data()[i]);
+  AppendWords(m.data(), static_cast<size_t>(m.size()), &buffer_);
 }
 
 Status ByteReader::Need(size_t n) const {
@@ -81,9 +98,8 @@ Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
                                 " bytes remaining");
   }
   std::vector<uint64_t> out(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    out[i] = GetU64().value();
-  }
+  if (n > 0) std::memcpy(out.data(), buffer_.data() + pos_, 8 * n);
+  pos_ += 8 * n;
   return out;
 }
 
@@ -96,9 +112,8 @@ Result<Vector> ByteReader::GetDoubleVector() {
                                 " bytes remaining");
   }
   Vector out(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    out[i] = GetDouble().value();
-  }
+  if (n > 0) std::memcpy(out.data(), buffer_.data() + pos_, 8 * n);
+  pos_ += 8 * n;
   return out;
 }
 
@@ -110,7 +125,9 @@ Result<Matrix> ByteReader::GetMatrix() {
   }
   DASH_RETURN_IF_ERROR(Need(8 * static_cast<size_t>(rows * cols)));
   Matrix m(rows, cols);
-  for (int64_t i = 0; i < m.size(); ++i) m.data()[i] = GetDouble().value();
+  const size_t bytes = 8 * static_cast<size_t>(m.size());
+  if (bytes > 0) std::memcpy(m.data(), buffer_.data() + pos_, bytes);
+  pos_ += bytes;
   return m;
 }
 

@@ -34,7 +34,8 @@ struct TraceEvent {
 
 class ProtocolTrace {
  public:
-  void Record(int round, const Message& msg);
+  // One sent message of `wire_bytes` (Message::WireSize()) bytes.
+  void Record(int round, int from, int to, MessageTag tag, int64_t wire_bytes);
   void Clear() { events_.clear(); }
 
   const std::vector<TraceEvent>& events() const { return events_; }

@@ -135,13 +135,8 @@ void FaultInjectingTransport::BeginRound() {
 // Dropped messages are mirrored nowhere: they never existed on the wire.
 Status FaultInjectingTransport::ForwardSend(int from, int to, MessageTag tag,
                                             std::vector<uint8_t> payload) {
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  RecordSend(msg);
-  return inner_->Send(from, to, tag, std::move(msg.payload));
+  RecordSend(from, to, tag, payload.size());
+  return inner_->Send(from, to, tag, std::move(payload));
 }
 
 Status FaultInjectingTransport::Send(int from, int to, MessageTag tag,

@@ -113,6 +113,10 @@ Result<SecureScanMetrics> RunFrameProtocol(Transport* transport,
   const int local = transport->local_party();
   const int num_parties = transport->num_parties();
   if (options.trace != nullptr) transport->AttachTrace(options.trace);
+  // The transport may have carried earlier workloads; this frame
+  // reports only its own traffic.
+  TrafficMetrics start(num_parties);
+  start.MergeFrom(transport->metrics());
 
   // Phase-1 cache probe (one optional round): each party broadcasts ONE
   // public bit — "I hold valid Phase-1 state for this cohort" — and the
@@ -218,7 +222,7 @@ Result<SecureScanMetrics> RunFrameProtocol(Transport* transport,
     }
   }
 
-  SecureScanMetrics metrics = MetricsFromTraffic(transport->metrics());
+  SecureScanMetrics metrics = MetricsFromTraffic(transport->metrics(), start);
   metrics.phase1_cache_hit = cache_hit;
   DASH_LOG(Info) << "party " << local << "/" << num_parties << " secure "
                  << kWorkloadNames[static_cast<size_t>(body.workload)]

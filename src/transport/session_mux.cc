@@ -306,16 +306,10 @@ Status SessionChannel::Send(int from, int to, MessageTag tag,
   msg.session = session_id_;
   msg.tag = tag;
   msg.payload = std::move(payload);
-  // The accounting copy: ChannelSend consumes the payload, so size the
-  // metrics message first (header-only; Record uses WireSize()).
-  Message accounting;
-  accounting.from = msg.from;
-  accounting.to = msg.to;
-  accounting.session = msg.session;
-  accounting.tag = msg.tag;
-  accounting.payload.resize(msg.payload.size());
+  // ChannelSend consumes the payload, so take its size first.
+  const size_t payload_bytes = msg.payload.size();
   DASH_RETURN_IF_ERROR(mux_->ChannelSend(session_id_, std::move(msg)));
-  RecordSend(accounting);
+  RecordSend(from, to, tag, payload_bytes);
   return Status::Ok();
 }
 

@@ -10,6 +10,7 @@
 #include <string.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -391,6 +392,25 @@ Status TcpTransport::Send(int from, int to, MessageTag tag,
 Status TcpTransport::SendOnSession(uint32_t session, int from, int to,
                                    MessageTag tag,
                                    std::vector<uint8_t> payload) {
+  DASH_RETURN_IF_ERROR(CheckSend(session, from, to, payload.size()));
+  return WriteFrame(session, to, tag, payload,
+                    Crc32(payload.data(), payload.size()));
+}
+
+Status TcpTransport::Broadcast(int from, MessageTag tag,
+                               const std::vector<uint8_t>& payload) {
+  DASH_RETURN_IF_ERROR(ValidateParty(from, "sender"));
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  for (int to = 0; to < num_parties(); ++to) {
+    if (to == from) continue;
+    DASH_RETURN_IF_ERROR(CheckSend(0, from, to, payload.size()));
+    DASH_RETURN_IF_ERROR(WriteFrame(0, to, tag, payload, crc));
+  }
+  return Status::Ok();
+}
+
+Status TcpTransport::CheckSend(uint32_t session, int from, int to,
+                               size_t payload_bytes) {
   if (session > kFrameMaxSessionId) {
     return InvalidArgumentError("session id " + std::to_string(session) +
                                 " exceeds the u16 frame field");
@@ -405,9 +425,9 @@ Status TcpTransport::SendOnSession(uint32_t session, int from, int to,
     return InvalidArgumentError("party " + std::to_string(from) +
                                 " attempted to send a message to itself");
   }
-  if (payload.size() > kFrameMaxPayloadBytes) {
+  if (payload_bytes > kFrameMaxPayloadBytes) {
     return InvalidArgumentError("payload of " +
-                                std::to_string(payload.size()) +
+                                std::to_string(payload_bytes) +
                                 " bytes exceeds the frame bound");
   }
   Peer& peer = peers_[static_cast<size_t>(to)];
@@ -416,23 +436,45 @@ Status TcpTransport::SendOnSession(uint32_t session, int from, int to,
     return PreferAbort(UnavailableError("connection to party " +
                                         std::to_string(to) + " is closed"));
   }
+  return Status::Ok();
+}
 
-  Message msg;
-  msg.from = from;
-  msg.to = to;
-  msg.session = session;
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  const std::vector<uint8_t> frame = EncodeFrame(msg);
+Status TcpTransport::WriteFrame(uint32_t session, int to, MessageTag tag,
+                                const std::vector<uint8_t>& payload,
+                                uint32_t crc) {
+  Peer& peer = peers_[static_cast<size_t>(to)];
+  FrameHeader header;
+  header.session = session;
+  header.tag = static_cast<uint32_t>(tag);
+  header.from = local_party_;
+  header.to = to;
+  header.payload_len = static_cast<uint32_t>(payload.size());
+  header.crc32 = crc;
+  std::vector<uint8_t> head;
+  EncodeFrameHeader(header, &head);
 
   // Write with inbound draining: if the peer's kernel buffer (and ours)
   // is full because every party is mid-broadcast, pulling our inbound
   // frames unblocks the mesh.
+  const size_t frame_bytes = head.size() + payload.size();
   const int64_t deadline = NowMs() + options_.receive_timeout_ms;
   size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n = ::send(peer.fd, frame.data() + off, frame.size() - off,
-                             MSG_NOSIGNAL);
+  while (off < frame_bytes) {
+    // The unsent tails of the header and of the payload, gathered.
+    struct iovec iov[2];
+    size_t parts = 0;
+    if (off < head.size()) {
+      iov[parts++] = {head.data() + off, head.size() - off};
+    }
+    const size_t body = off > head.size() ? off - head.size() : 0;
+    if (body < payload.size()) {
+      iov[parts++] = {const_cast<uint8_t*>(payload.data()) + body,
+                      payload.size() - body};
+    }
+    struct msghdr gather = {};
+    gather.msg_iov = iov;
+    gather.msg_iovlen = parts;
+    const ssize_t n = ::sendmsg(peer.fd, &gather, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
@@ -449,10 +491,10 @@ Status TcpTransport::SendOnSession(uint32_t session, int from, int to,
           "send to party " + std::to_string(to) + " timed out after " +
           std::to_string(options_.receive_timeout_ms) + " ms"));
     }
-    DASH_RETURN_IF_ERROR(Pump(10));
+    DASH_RETURN_IF_ERROR(Pump(10, to));
   }
 
-  RecordWireSend(msg, frame.size());
+  RecordWireSend(to, tag, payload.size());
   return Status::Ok();
 }
 
@@ -561,13 +603,14 @@ bool TcpTransport::HasPending(int to, int from) {
   return !peers_[static_cast<size_t>(from)].inbox.empty();
 }
 
-Status TcpTransport::Pump(int timeout_ms) {
+Status TcpTransport::Pump(int timeout_ms, int writable_peer) {
   std::vector<struct pollfd> pfds;
   std::vector<int> parties;
   for (int p = 0; p < num_parties(); ++p) {
     Peer& peer = peers_[static_cast<size_t>(p)];
     if (peer.fd >= 0 && !peer.closed) {
-      pfds.push_back({peer.fd, POLLIN, 0});
+      const short events = p == writable_peer ? (POLLIN | POLLOUT) : POLLIN;
+      pfds.push_back({peer.fd, events, 0});
       parties.push_back(p);
     }
   }
@@ -584,15 +627,33 @@ Status TcpTransport::Pump(int timeout_ms) {
 
 void TcpTransport::ReadAvailable(int party) {
   Peer& peer = peers_[static_cast<size_t>(party)];
-  uint8_t buf[64 * 1024];
+  if (peer.desynced) return;
   int64_t received = 0;
   bool dead = false;
   std::string recv_error;
-  while (true) {
-    const ssize_t n = ::recv(peer.fd, buf, sizeof(buf), 0);
+  Status framing = Status::Ok();
+  while (framing.ok()) {
+    // Next bytes go to the header until it decodes, then straight into
+    // the payload, which grows toward its announced length one step at
+    // a time, so a corrupt length commits memory only as bytes arrive.
+    uint8_t* dst = nullptr;
+    size_t want = 0;
+    if (!peer.in_payload) {
+      dst = peer.head.data() + peer.head_bytes;
+      want = kFrameHeaderBytes - peer.head_bytes;
+    } else {
+      constexpr size_t kPayloadStepBytes = size_t{1} << 20;
+      if (peer.payload_bytes == peer.payload.size()) {
+        peer.payload.resize(std::min<size_t>(
+            peer.header.payload_len, peer.payload.size() + kPayloadStepBytes));
+      }
+      dst = peer.payload.data() + peer.payload_bytes;
+      want = peer.payload.size() - peer.payload_bytes;
+    }
+    const ssize_t n = ::recv(peer.fd, dst, want, 0);
     if (n > 0) {
-      peer.rx.insert(peer.rx.end(), buf, buf + n);
       received += n;
+      framing = FrameBytesArrived(party, static_cast<size_t>(n));
       continue;
     }
     if (n == 0) {
@@ -608,12 +669,11 @@ void TcpTransport::ReadAvailable(int party) {
     MutexLock lock(&stats_mutex_);
     wire_stats_.bytes_received += received;
   }
-  // Parse whatever arrived BEFORE the failure so complete frames ahead
-  // of an EOF are still delivered.
-  const Status parsed = ParseFrames(party);
-  if (!parsed.ok()) {
+  // Frames completed before a failure are already in the inbox.
+  if (!framing.ok()) {
+    peer.desynced = true;
     peer.closed = true;
-    if (peer.fail.ok()) peer.fail = parsed;
+    if (peer.fail.ok()) peer.fail = framing;
   }
   if (dead) {
     peer.closed = true;
@@ -621,7 +681,9 @@ void TcpTransport::ReadAvailable(int party) {
       // A reset and a clean FIN are the same protocol event — the link
       // died — so both get the mid-frame diagnosis when a partial
       // frame is left behind; only the parenthetical differs.
-      const size_t partial = peer.rx.size() - peer.rx_consumed;
+      const size_t partial = peer.in_payload
+                                 ? kFrameHeaderBytes + peer.payload_bytes
+                                 : peer.head_bytes;
       std::string what = "peer " + std::to_string(party) + " disconnected";
       if (!recv_error.empty()) what += " (recv: " + recv_error + ")";
       if (partial > 0) {
@@ -633,44 +695,49 @@ void TcpTransport::ReadAvailable(int party) {
   }
 }
 
-Status TcpTransport::ParseFrames(int party) {
+Status TcpTransport::FrameBytesArrived(int party, size_t n) {
   Peer& peer = peers_[static_cast<size_t>(party)];
-  while (peer.rx.size() - peer.rx_consumed >= kFrameHeaderBytes) {
-    const uint8_t* head = peer.rx.data() + peer.rx_consumed;
-    DASH_ASSIGN_OR_RETURN(FrameHeader header,
-                          DecodeFrameHeader(head, kFrameHeaderBytes));
-    const size_t frame_bytes = kFrameHeaderBytes + header.payload_len;
-    if (peer.rx.size() - peer.rx_consumed < frame_bytes) break;
-    std::vector<uint8_t> payload(head + kFrameHeaderBytes,
-                                 head + frame_bytes);
-    peer.rx_consumed += frame_bytes;
-    DASH_RETURN_IF_ERROR(CheckFramePayload(header, payload));
-    if (header.tag == kFrameHelloTag || header.from != party ||
-        header.to != local_party_) {
-      return DataLossError("party " + std::to_string(party) +
-                           " sent a malformed frame (tag " +
-                           std::to_string(header.tag) + ", from " +
-                           std::to_string(header.from) + ", to " +
-                           std::to_string(header.to) + ")");
-    }
-    Message msg;
-    msg.from = header.from;
-    msg.to = header.to;
-    msg.session = header.session;
-    msg.tag = static_cast<MessageTag>(header.tag);
-    msg.payload = std::move(payload);
-    peer.inbox.push_back(std::move(msg));
-    MutexLock lock(&stats_mutex_);
-    wire_stats_.frames_received += 1;
+  if (peer.in_payload) {
+    peer.payload_bytes += n;
+    if (peer.payload_bytes < peer.header.payload_len) return Status::Ok();
+    return DeliverFrame(party);
   }
-  if (peer.rx_consumed == peer.rx.size()) {
-    peer.rx.clear();
-    peer.rx_consumed = 0;
-  } else if (peer.rx_consumed > (1u << 20)) {
-    peer.rx.erase(peer.rx.begin(),
-                  peer.rx.begin() + static_cast<ptrdiff_t>(peer.rx_consumed));
-    peer.rx_consumed = 0;
+  peer.head_bytes += n;
+  if (peer.head_bytes < kFrameHeaderBytes) return Status::Ok();
+  DASH_ASSIGN_OR_RETURN(peer.header,
+                        DecodeFrameHeader(peer.head.data(), kFrameHeaderBytes));
+  peer.head_bytes = 0;
+  peer.in_payload = true;
+  peer.payload.reserve(peer.header.payload_len);
+  if (peer.header.payload_len == 0) return DeliverFrame(party);
+  return Status::Ok();
+}
+
+Status TcpTransport::DeliverFrame(int party) {
+  Peer& peer = peers_[static_cast<size_t>(party)];
+  const FrameHeader header = peer.header;
+  std::vector<uint8_t> payload = std::move(peer.payload);
+  peer.payload = {};
+  peer.payload_bytes = 0;
+  peer.in_payload = false;
+  DASH_RETURN_IF_ERROR(CheckFramePayload(header, payload));
+  if (header.tag == kFrameHelloTag || header.from != party ||
+      header.to != local_party_) {
+    return DataLossError("party " + std::to_string(party) +
+                         " sent a malformed frame (tag " +
+                         std::to_string(header.tag) + ", from " +
+                         std::to_string(header.from) + ", to " +
+                         std::to_string(header.to) + ")");
   }
+  Message msg;
+  msg.from = header.from;
+  msg.to = header.to;
+  msg.session = header.session;
+  msg.tag = static_cast<MessageTag>(header.tag);
+  msg.payload = std::move(payload);
+  peer.inbox.push_back(std::move(msg));
+  MutexLock lock(&stats_mutex_);
+  wire_stats_.frames_received += 1;
   return Status::Ok();
 }
 
@@ -703,10 +770,12 @@ void TcpTransport::ScanForAborts() {
   }
 }
 
-void TcpTransport::RecordWireSend(const Message& msg, size_t frame_bytes) {
+void TcpTransport::RecordWireSend(int to, MessageTag tag,
+                                  size_t payload_bytes) {
   MutexLock lock(&stats_mutex_);
-  RecordSend(msg);
-  wire_stats_.bytes_sent += static_cast<int64_t>(frame_bytes);
+  RecordSend(local_party_, to, tag, payload_bytes);
+  wire_stats_.bytes_sent +=
+      static_cast<int64_t>(kFrameHeaderBytes + payload_bytes);
   wire_stats_.frames_sent += 1;
 }
 

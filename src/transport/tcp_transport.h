@@ -20,6 +20,12 @@
 // receive_timeout_ms (then DeadlineExceeded). Tag mismatches are
 // FailedPrecondition, exactly as on the in-process backend.
 //
+// Frames are written and read in place. A send hands the kernel the
+// 24-byte header and the caller's payload as one two-part gather write,
+// never assembling a frame copy; a broadcast computes the payload's CRC
+// once for every peer. A receive reads the header, then recv()s the
+// payload straight into the buffer that becomes Message::payload.
+//
 // Failure semantics (PROTOCOL.md "Failure modes" has the full table):
 // every post-handshake fault maps to exactly one of three codes, never
 // a hang or a CHECK. A peer closing its socket (clean FIN or reset),
@@ -50,12 +56,14 @@
 #ifndef DASH_TRANSPORT_TCP_TRANSPORT_H_
 #define DASH_TRANSPORT_TCP_TRANSPORT_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "transport/cluster_config.h"
+#include "transport/frame.h"
 #include "transport/transport.h"
 #include "util/mutex.h"
 
@@ -100,6 +108,11 @@ class TcpTransport : public Transport {
   Status Send(int from, int to, MessageTag tag,
               std::vector<uint8_t> payload) override;
 
+  // Writes the caller's payload to every peer without copying it, with
+  // one CRC computation for all of them.
+  Status Broadcast(int from, MessageTag tag,
+                   const std::vector<uint8_t>& payload) override;
+
   // `to` must be the local party. Blocks up to receive_timeout_ms.
   // Delivers the sessionless stream only: a frame carrying a nonzero
   // session id on this path is a desync (the peer multiplexes, we do
@@ -126,8 +139,17 @@ class TcpTransport : public Transport {
  private:
   struct Peer {
     int fd = -1;
-    std::vector<uint8_t> rx;        // unparsed bytes off the socket
-    size_t rx_consumed = 0;         // parsed prefix of rx
+    // The frame being read: its header bytes, then (once the header
+    // decodes) its payload, received in place.
+    std::array<uint8_t, kFrameHeaderBytes> head{};
+    size_t head_bytes = 0;          // received prefix of head
+    bool in_payload = false;        // head decoded into `header`
+    FrameHeader header;
+    std::vector<uint8_t> payload;   // grows toward header.payload_len
+    size_t payload_bytes = 0;       // received prefix of payload
+    // A frame failed to decode or verify; nothing after it can be
+    // parsed, so the link reads no further.
+    bool desynced = false;
     std::deque<Message> inbox;      // complete frames awaiting Receive
     bool closed = false;
     // Sticky link failure (Unavailable/DataLoss); set when closed is.
@@ -144,13 +166,26 @@ class TcpTransport : public Transport {
                          int* hello_party);
 
   // Drains whatever is readable on every open peer socket into the
-  // inboxes, waiting at most `timeout_ms` for the first byte. Socket
-  // and framing failures are recorded per peer (Peer::fail), never
-  // propagated here, so one broken link cannot fail another link's
-  // Receive.
-  Status Pump(int timeout_ms);
+  // inboxes, waiting at most `timeout_ms` for the first byte — or, with
+  // `writable_peer` >= 0, for that peer's socket to accept more bytes.
+  // Socket and framing failures are recorded per peer (Peer::fail),
+  // never propagated here, so one broken link cannot fail another
+  // link's Receive.
+  Status Pump(int timeout_ms, int writable_peer = -1);
   void ReadAvailable(int peer) DASH_EXCLUDES(stats_mutex_);
-  Status ParseFrames(int peer) DASH_EXCLUDES(stats_mutex_);
+  // Advances `peer`'s frame after `n` more bytes landed in it; a
+  // completed frame is verified and queued in the inbox.
+  Status FrameBytesArrived(int peer, size_t n) DASH_EXCLUDES(stats_mutex_);
+  Status DeliverFrame(int peer) DASH_EXCLUDES(stats_mutex_);
+
+  // Send's checks, in order: session id, sender, receiver, payload
+  // bound, link state.
+  Status CheckSend(uint32_t session, int from, int to, size_t payload_bytes);
+  // Writes one frame (header + payload, `crc` its CRC-32) to `to`,
+  // draining inbound while the socket is full.
+  Status WriteFrame(uint32_t session, int to, MessageTag tag,
+                    const std::vector<uint8_t>& payload, uint32_t crc)
+      DASH_EXCLUDES(stats_mutex_);
 
   // Latches the first kAbort found in any inbox into abort_status_.
   void ScanForAborts();
@@ -166,7 +201,7 @@ class TcpTransport : public Transport {
   // Records one outbound frame in both the logical TrafficMetrics and
   // the physical wire counters; takes stats_mutex_ itself (callers on
   // the protocol thread hold no lock here).
-  void RecordWireSend(const Message& msg, size_t frame_bytes)
+  void RecordWireSend(int to, MessageTag tag, size_t payload_bytes)
       DASH_EXCLUDES(stats_mutex_);
   void CloseAll();
 

@@ -57,7 +57,8 @@ class TrafficMetrics {
  public:
   explicit TrafficMetrics(int num_parties);
 
-  void Record(const Message& msg);
+  // One message of `wire_bytes` (Message::WireSize()) bytes from -> to.
+  void Record(int from, int to, int64_t wire_bytes);
   void BumpRound() { rounds_.fetch_add(1, std::memory_order_relaxed); }
   void Reset();
 
@@ -66,6 +67,7 @@ class TrafficMetrics {
   // schedule, so the union of per-party ledgers keeps the run's count.
   void MergeFrom(const TrafficMetrics& other);
 
+  int num_parties() const { return num_parties_; }
   int64_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -175,8 +177,10 @@ class Transport {
  protected:
   // Sender-side accounting shared by all backends: counts the message in
   // the metrics and appends it to the attached trace, tagged with the
-  // current round.
+  // current round. Only the payload's size matters, so a backend that
+  // no longer holds the payload passes its size instead.
   void RecordSend(const Message& msg);
+  void RecordSend(int from, int to, MessageTag tag, size_t payload_bytes);
 
   Status ValidateParty(int id, const char* what) const;
 

@@ -9,6 +9,7 @@
 #define DASH_UTIL_CHACHA20_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace dash {
@@ -28,8 +29,16 @@ class ChaCha20Rng {
   // Next 64 pseudo-random bits of the keystream.
   uint64_t NextU64();
 
+  // values[i] += (or -=) the next n NextU64() outputs, wrapping mod 2^64.
+  // The same stream as n NextU64() calls, produced block-wise; a later
+  // NextU64() continues where the bulk call stopped.
+  void AddTo(uint64_t* values, size_t n);
+  void SubtractFrom(uint64_t* values, size_t n);
+
  private:
   void Refill();
+  template <typename Op>
+  void Combine(uint64_t* values, size_t n, Op op);
 
   std::array<uint32_t, 16> state_;
   std::array<uint32_t, 16> block_;

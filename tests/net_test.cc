@@ -40,6 +40,39 @@ TEST(SerializationTest, VectorsRoundTrip) {
   EXPECT_EQ(r.GetDoubleVector().value(), (Vector{-1.5, 2.5}));
 }
 
+// The vector forms' wire bytes, pinned: a little-endian u64 count, then
+// each element's little-endian 8 bytes (a double's IEEE-754 bits).
+TEST(SerializationTest, VectorWireBytesArePinned) {
+  ByteWriter w;
+  w.PutU64Vector({0x0102030405060708ull, 0xFFFFFFFFFFFFFFFEull});
+  w.PutDoubleVector({1.0, -2.5});
+  w.PutMatrix(Matrix{{0.5}});
+  const std::vector<uint8_t> expected = {
+      2,    0,    0,    0,    0,    0,    0,    0,     // count 2
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  //
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  //
+      2,    0,    0,    0,    0,    0,    0,    0,     // count 2
+      0,    0,    0,    0,    0,    0,    0xF0, 0x3F,  // 1.0
+      0,    0,    0,    0,    0,    0,    0x04, 0xC0,  // -2.5
+      1,    0,    0,    0,    0,    0,    0,    0,     // rows 1
+      1,    0,    0,    0,    0,    0,    0,    0,     // cols 1
+      0,    0,    0,    0,    0,    0,    0xE0, 0x3F,  // 0.5
+  };
+  const std::vector<uint8_t> bytes = w.Take();
+  EXPECT_EQ(bytes, expected);
+
+  ByteReader r(expected);
+  EXPECT_EQ(r.GetU64Vector().value(),
+            (std::vector<uint64_t>{0x0102030405060708ull,
+                                   0xFFFFFFFFFFFFFFFEull}));
+  EXPECT_EQ(r.GetDoubleVector().value(), (Vector{1.0, -2.5}));
+  const Matrix m = r.GetMatrix().value();
+  EXPECT_EQ(m.rows(), 1);
+  EXPECT_EQ(m.cols(), 1);
+  EXPECT_EQ(m(0, 0), 0.5);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(SerializationTest, MatrixRoundTrips) {
   const Matrix m = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   ByteWriter w;

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -267,7 +268,9 @@ TEST(CrossBackendTest, PerPartyMetricsMatchInProcessLedger) {
 
 // The §5 workloads' per-party entry points run over any Transport: one
 // after another over one TCP mesh, they reveal the simulators' results
-// bit for bit.
+// bit for bit, and each reports only its own traffic: every party walks
+// its simulator's round count, and the parties' bytes and messages add
+// up to the simulator's whole-run ledger.
 TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
   const ScanWorkload workload = SmallWorkload();
   const int p = static_cast<int>(workload.parties.size());
@@ -301,6 +304,10 @@ TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
   }
   TcpTransportOptions tcp_options;
   tcp_options.connect_timeout_ms = 10000;
+  // metrics[w][i]: party i's report for workload w, in run order.
+  constexpr size_t kWorkloads = 4;
+  std::vector<std::vector<SecureScanMetrics>> metrics(
+      kWorkloads, std::vector<SecureScanMetrics>(static_cast<size_t>(p)));
   std::vector<std::thread> threads;
   for (int i = 0; i < p; ++i) {
     threads.emplace_back([&, i] {
@@ -311,6 +318,7 @@ TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
 
       const auto grouped = PartyGroupedScan(t, workload.parties[me], 5, options);
       ASSERT_TRUE(grouped.ok()) << grouped.status();
+      metrics[0][me] = grouped->metrics;
       ExpectBitIdentical(grouped->result.fstat, grouped_ref->result.fstat,
                          "grouped fstat");
       ExpectBitIdentical(grouped->result.pval, grouped_ref->result.pval,
@@ -318,6 +326,7 @@ TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
 
       const auto phenotypes = PartyMultiPhenotypeScan(t, multi[me], options);
       ASSERT_TRUE(phenotypes.ok()) << phenotypes.status();
+      metrics[1][me] = phenotypes->metrics;
       ASSERT_EQ(phenotypes->results.size(), 2u);
       for (size_t k = 0; k < 2; ++k) {
         EXPECT_EQ(ScanResultChecksum(phenotypes->results[k]),
@@ -328,6 +337,7 @@ TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
       PartyData mine = workload.parties[me];
       const auto impute = PartyMeanImpute(t, &mine, options);
       ASSERT_TRUE(impute.ok()) << impute.status();
+      metrics[2][me] = impute->metrics;
       ExpectBitIdentical(impute->means, impute_ref->means, "means");
       ExpectBitIdentical(impute->call_rates, impute_ref->call_rates,
                          "call rates");
@@ -335,12 +345,33 @@ TEST(CrossBackendTest, SectionFiveWorkloadsOverTcpMatchTheSimulators) {
       const auto study =
           CompressedStudy::PartySecureAggregate(t, compressed[me], options);
       ASSERT_TRUE(study.ok()) << study.status();
+      metrics[3][me] = study->metrics;
       EXPECT_EQ(ScanResultChecksum(study->study.ScanAllCovariates(1).value()),
                 ScanResultChecksum(
                     compressed_ref->study.ScanAllCovariates(1).value()));
     });
   }
   for (auto& t : threads) t.join();
+
+  const std::array<const SecureScanMetrics*, kWorkloads> simulated = {
+      &grouped_ref->metrics, &multi_ref->metrics, &impute_ref->metrics,
+      &compressed_ref->metrics};
+  const std::array<const char*, kWorkloads> names = {
+      "grouped", "multi-phenotype", "imputation", "compressed study"};
+  for (size_t w = 0; w < kWorkloads; ++w) {
+    int64_t bytes = 0;
+    int64_t messages = 0;
+    for (int i = 0; i < p; ++i) {
+      const SecureScanMetrics& m = metrics[w][static_cast<size_t>(i)];
+      EXPECT_EQ(m.rounds, simulated[w]->rounds)
+          << names[w] << ", party " << i;
+      bytes += m.total_bytes;
+      messages += m.total_messages;
+    }
+    EXPECT_GT(bytes, 0) << names[w];
+    EXPECT_EQ(bytes, simulated[w]->total_bytes) << names[w];
+    EXPECT_EQ(messages, simulated[w]->total_messages) << names[w];
+  }
 }
 
 // The Beaver projection needs dealt triples: the simulator deals them,

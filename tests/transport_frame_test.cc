@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,6 +100,47 @@ TEST(FrameTest, Crc32KnownVector) {
   // IEEE 802.3 CRC of "123456789" is 0xCBF43926.
   const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(Crc32(data, sizeof(data)), 0xCBF43926u);
+}
+
+// The bit-at-a-time definition of the reflected IEEE CRC-32.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::vector<uint8_t> out(n);
+  for (auto& b : out) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<uint8_t>(seed >> 56);
+  }
+  return out;
+}
+
+// The word-at-a-time CRC equals the bitwise definition at every length
+// and alignment the 8-byte main loop and the byte tail can meet.
+TEST(FrameTest, Crc32MatchesTheBitwiseDefinitionAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> data = PseudoRandomBytes(2048 + 8, 17);
+  for (size_t offset = 0; offset <= 8; ++offset) {
+    for (size_t len = 0; len + offset <= data.size() && len <= 2048; ++len) {
+      ASSERT_EQ(Crc32(data.data() + offset, len),
+                ReferenceCrc32(data.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+// ... and on a buffer the size of wide_reveal's masked vector.
+TEST(FrameTest, Crc32MatchesTheBitwiseDefinitionOnALargeBuffer) {
+  const std::vector<uint8_t> data = PseudoRandomBytes(9'600'008, 29);
+  EXPECT_EQ(Crc32(data.data(), data.size()),
+            ReferenceCrc32(data.data(), data.size()));
 }
 
 TEST(ClusterConfigTest, ParsesPlainAndCommentedLines) {
