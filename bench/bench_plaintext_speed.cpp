@@ -9,17 +9,16 @@
 //
 // --kernel-bench times the sufficient-statistics kernels themselves,
 // each writing the same wire-order arena: the original scalar kernel
-// (ComputeLocalStatsScalar), the dense-only blocked kernel
-// (ComputeLocalStatsDense) pinned to the portable ISA (`blocked/*` —
-// the machine-normalization denominator), the auto-dispatched
-// ComputeLocalStatsFlat (`flat/*`), every SIMD dense path this CPU can
-// run (`avx2/*`, `avx512/*`), and the 2-bit packed-genotype popcount
-// kernels in pre-packed steady state (`packed/*`,
-// `packed_<isa>/genotype`) — plus the sparse-storage kernels, where
-// `sparse_packed/genotype` is ComputeLocalStatsFlat(SparseColumnMatrix)'s
-// dosage repack path. Every variant's WireChecksum is asserted equal
-// to the scalar kernel's — the bench doubles as a bit-identity smoke
-// test.
+// (ComputeLocalStatsScalar), the blocked kernel ComputeLocalStatsFlat
+// pinned to the portable ISA (`blocked/*` — the machine-normalization
+// denominator), the same kernel auto-dispatched (`flat/*`), every SIMD
+// dense path this CPU can run (`avx2/*`, `avx512/*`), and the 2-bit
+// packed-genotype popcount kernels in pre-packed steady state
+// (`packed/*`, `packed_<isa>/genotype`) — plus the sparse-storage
+// kernels, where `sparse_packed/genotype` is
+// ComputeLocalStatsFlat(SparseColumnMatrix)'s dosage repack path.
+// Every variant's WireChecksum is asserted equal to the scalar
+// kernel's — the bench doubles as a bit-identity smoke test.
 // With --json PATH the numbers are written in the bench_json.h schema
 // for bench/compare_bench.py; the JSON carries an `isas` list so the
 // gate can skip (not fail) ISA entries a smaller runner cannot produce.
@@ -220,14 +219,13 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
     return WireChecksum(ComputeLocalStatsScalar(x, y, q));
   });
   AddEntry(entries, a, "scalar/" + dataset, scalar_s, scalar_sum);
-  // `blocked/*` is the pre-SIMD portable blocked kernel, pinned to the
-  // portable table and the dense (no-repack) path: the denominator the
-  // packed kernels' >=5x claim is measured against.
+  // `blocked/*` is the blocked kernel pinned to the portable table:
+  // the denominator the packed kernels' >=5x claim is measured against.
   double blocked_s = 0.0;
   {
     ScopedIsa pin(kernels::StatsIsa::kPortable);
     blocked_s = TimeBest(a.reps, &blocked_sum, [&] {
-      return WireChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsFlat(x, y, q));
     });
   }
   AddEntry(entries, a, "blocked/" + dataset, blocked_s, blocked_sum);
@@ -244,7 +242,7 @@ uint64_t BenchDense(const KernelArgs& a, const std::string& dataset,
     ScopedIsa pin(isa);
     uint64_t isa_sum = 0;
     const double isa_s = TimeBest(a.reps, &isa_sum, [&] {
-      return WireChecksum(ComputeLocalStatsDense(x, y, q));
+      return WireChecksum(ComputeLocalStatsFlat(x, y, q));
     });
     AddEntry(entries, a,
              std::string(kernels::StatsIsaName(isa)) + "/" + dataset, isa_s,

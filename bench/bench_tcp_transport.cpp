@@ -133,8 +133,8 @@ struct RevealTimes {
 // Three parties on loopback TCP run `reps` masked sums of a
 // `length`-element vector, timing each layer at each party: fixed-point
 // encode, pairwise ChaCha20 masks, serialization, the broadcast, the
-// peers' frames (receive + CRC) and the open (deserialize + sum +
-// decode). Returns every (party, rep) sample.
+// peers' frames (receive + CRC) and the open (each peer's payload
+// added into one running total, then decode). Returns every (party, rep) sample.
 std::vector<RevealTimes> RunMaskedReveal(size_t length, int reps) {
   constexpr int kParties = 3;
   ClusterConfig cluster;
@@ -187,14 +187,13 @@ std::vector<RevealTimes> RunMaskedReveal(size_t length, int reps) {
         }
         tm.receive = timer.ElapsedSeconds();
         timer.Reset();
-        std::vector<RingVector> peers;
+        RingVector sum = masked.wire();
         for (const Message& frame : frames) {
           ByteReader r(frame.payload);
-          auto peer = r.GetU64Vector();
-          DASH_CHECK(peer.ok()) << peer.status();
-          peers.push_back(std::move(peer).value());
+          const Status added = r.AddU64VectorTo(sum);
+          DASH_CHECK(added.ok()) << added;
         }
-        auto total = OpenMaskedTotal(masked, peers, codec);
+        auto total = OpenMaskedTotal(sum, codec);
         tm.open = timer.ElapsedSeconds();
         DASH_CHECK(total.ok()) << total.status();
         // The masks cancel: element e opens to the three parties' sum.

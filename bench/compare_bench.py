@@ -19,8 +19,8 @@ file (`blocked/gaussian` vs `scalar/gaussian`, `sparse_packed/…` vs
 `sparse_scalar/…`), so the checked-in baseline from one machine gates CI
 runs on another. Only the `packed*` popcount kernels are GATED — their
 speedup is compute-bound and holds across problem sizes (~7.5x at both
-the 100k x 10k reference and the 20k x 2k CI smoke). The dense and
-repack entries are printed for information but never fail this gate:
+the 100k x 10k reference and the 20k x 2k CI smoke). The dense
+entries are printed for information but never fail this gate:
 they are memory-geometry-bound, and their speedup over scalar legit-
 imately swings with the working-set size (blocked/gaussian measures
 1.4x at 8 GB and 0.9x at 320 MB on the same machine). The out-of-core

@@ -4,11 +4,14 @@
 // behind ComputeStatsColumns (X·y, X·X, QᵀX over a column block) and
 // the packed-genotype column-range kernel that accumulates the same
 // statistics from 2-bit packed words with popcount class counts and
-// per-nonzero gathers. Each exists in up to three implementations —
-// portable C++, AVX2, AVX-512 — compiled in per-ISA translation units
+// per-nonzero gathers. Each exists in up to three instances — portable
+// C++, AVX2, AVX-512 — compiled in per-ISA translation units
 // (src/core/kernels/stats_kernels_*.cc) with per-file -mavx2 /
 // -mavx512f flags, so the binary itself stays runnable on any x86-64
-// (and on non-x86, where only the portable unit is built).
+// (and on non-x86, where only the portable unit is built). The AVX2
+// and AVX-512 units have no kernel body of their own: both compile the
+// one vector-typed source stats_kernels_simd.inc, at 4 and 8 doubles
+// per register.
 //
 // Dispatch is a function-pointer table chosen once per process:
 //   1. DASH_FORCE_ISA=portable|avx2|avx512 pins the table (and aborts

@@ -1,18 +1,18 @@
-// AVX-512 sufficient-statistics kernels. This translation unit is
-// compiled with per-file flags -mavx512f -mavx512bw -mavx512dq
-// -mavx512vl and -ffp-contract=off (see src/CMakeLists.txt); the
-// contract flag matters for bit-identity — with FMA available the
-// compiler would otherwise fuse the explicit mul+add intrinsic pairs
-// below into FMAs, which round once instead of twice and diverge from
-// the scalar reference.
+// AVX-512 sufficient-statistics kernels: stats_kernels_simd.inc at 8
+// doubles per register. Compiled with per-file flags -mavx512f
+// -mavx512bw -mavx512dq -mavx512vl and -ffp-contract=off (see
+// src/CMakeLists.txt); the contract flag matters for bit-identity —
+// with FMA available the compiler would otherwise fuse the kernels'
+// multiply-add pairs into FMAs, which round once instead of twice and
+// diverge from the scalar reference.
 #ifndef __AVX512F__
 #error "stats_kernels_avx512.cc requires -mavx512f (per-file flag in src/CMakeLists.txt)"
 #endif
 
-#include <immintrin.h>
-
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/kernels/stats_kernels.h"
@@ -21,276 +21,24 @@
 
 namespace dash {
 namespace kernels {
+namespace {
+#include "core/kernels/stats_kernels_simd.inc"
+}  // namespace
 
-// Dense row-panel kernel, 8 columns per zmm lane-group. Lanes map to
-// DISTINCT output columns — never to partial sums of one column — so
-// each output element still accumulates over rows in exactly the
-// scalar reference's order. Scalar tails (w not a multiple of 8) run
-// in the same row-major order.
 void DensePanelAvx512(const double* x, int64_t x_stride, int64_t rows,
                       const double* y, const double* q, int64_t k, int64_t w,
                       double* xy, double* xx, double* tile) {
-  for (int64_t i = 0; i < rows; ++i) {
-    const double* xi = x + i * x_stride;
-    const double yi = y[i];
-    const __m512d yv = _mm512_set1_pd(yi);
-    int64_t jj = 0;
-    for (; jj + 8 <= w; jj += 8) {
-      const __m512d v = _mm512_loadu_pd(xi + jj);
-      _mm512_storeu_pd(xy + jj, _mm512_add_pd(_mm512_loadu_pd(xy + jj),
-                                              _mm512_mul_pd(v, yv)));
-      _mm512_storeu_pd(xx + jj, _mm512_add_pd(_mm512_loadu_pd(xx + jj),
-                                              _mm512_mul_pd(v, v)));
-    }
-    for (; jj < w; ++jj) {
-      const double v = xi[jj];
-      xy[jj] += v * yi;
-      xx[jj] += v * v;
-    }
-    const double* qi = q + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const double qik = qi[kk];
-      const __m512d qv = _mm512_set1_pd(qik);
-      double* t = tile + kk * w;
-      int64_t j2 = 0;
-      for (; j2 + 8 <= w; j2 += 8) {
-        const __m512d v = _mm512_loadu_pd(xi + j2);
-        _mm512_storeu_pd(t + j2, _mm512_add_pd(_mm512_loadu_pd(t + j2),
-                                               _mm512_mul_pd(v, qv)));
-      }
-      for (; j2 < w; ++j2) t[j2] += xi[j2] * qik;
-    }
-  }
+  DensePanelSimd<8>(x, x_stride, rows, y, q, k, w, xy, xx, tile);
 }
-
-namespace {
-
-constexpr uint64_t kEvenBits = 0x5555555555555555ULL;
-constexpr double kDosage[4] = {0.0, 1.0, 2.0, 0.0};
-
-// One column's QᵀX + X·y accumulator: KP padded lanes (K covariates,
-// then the phenotype — X·y is just one more projection, so it rides
-// the same vector ops instead of paying its own scalar mul+add chain
-// per nonzero) held in KP/8 zmm registers plus one ymm for a 4-wide
-// remainder. KP <= 24 so at most 3 zmm per column — the pair kernel
-// keeps two of these (6 zmm + 2 ymm) register-resident across a whole
-// word panel.
-template <int KP>
-struct ProjAcc {
-  static constexpr int kNz = KP / 8;
-  static constexpr bool kHasTail = (KP % 8) != 0;
-  __m512d z[kNz == 0 ? 1 : kNz];
-  __m256d tail;
-
-  void Load(const double* p) {
-    for (int c = 0; c < kNz; ++c) z[c] = _mm512_loadu_pd(p + 8 * c);
-    if constexpr (kHasTail) tail = _mm256_loadu_pd(p + 8 * kNz);
-  }
-  void Store(double* p) const {
-    for (int c = 0; c < kNz; ++c) _mm512_storeu_pd(p + 8 * c, z[c]);
-    if constexpr (kHasTail) _mm256_storeu_pd(p + 8 * kNz, tail);
-  }
-  void Add(double v, const double* qrow) {
-    // Separate zmm/ymm broadcasts: GCC's _mm512_castpd512_pd256 trips
-    // -Wmaybe-uninitialized through _mm256_undefined_pd, and the extra
-    // vbroadcastsd is free next to the FP-add chain.
-    if constexpr (kNz > 0) {
-      const __m512d vb = _mm512_set1_pd(v);
-      for (int c = 0; c < kNz; ++c) {
-        z[c] = _mm512_add_pd(z[c],
-                             _mm512_mul_pd(vb, _mm512_loadu_pd(qrow + 8 * c)));
-      }
-    }
-    if constexpr (kHasTail) {
-      const __m256d vt = _mm256_set1_pd(v);
-      tail = _mm256_add_pd(tail,
-                           _mm256_mul_pd(vt, _mm256_loadu_pd(qrow + 8 * kNz)));
-    }
-  }
-};
-
-// Pair-interleaved packed kernel. Two adjacent columns share the word
-// loop so their per-nonzero add chains interleave: one column's chain
-// (~4-cycle add latency per nonzero) leaves the FP ports mostly idle,
-// and the second independent chain fills them — measured ~1.4x over
-// the single-column form on the 100k x 10k scan shape.
-//
-// q and y are copied once into a KP-padded row-major scratch
-// ([q(i,0..k-1), y[i], 0...] per row) so a row's vector loads never
-// cross into the next row or read past the allocation (padding lanes
-// accumulate into proj entries > k that are never written back).
-// Bit-identity: each column's nonzeros are replayed in ascending row
-// order (ctz over the nonzero mask), each output element — X·y's lane
-// k included — has its own accumulator lane seeing exactly the scalar
-// reference's add chain, dosage multiplies by 1.0/2.0 are exact, and
-// X·X is an exact popcount sum.
-template <int KP>
-void PackedColumnsImpl(const PackedGenotypeMatrix& x, const double* y,
-                       const Matrix& q, int64_t col_begin, int64_t col_end,
-                       const StatsBlockView& out) {
-  const int64_t k = q.cols();
-  const int64_t n = x.rows();
-  const int64_t wpc = x.words_per_column();
-
-  std::vector<double> qpad(static_cast<size_t>(n * KP), 0.0);
-  {
-    const double* qd = q.data();
-    double* dst = qpad.data();
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t kk = 0; kk < k; ++kk) dst[i * KP + kk] = qd[i * k + kk];
-      dst[i * KP + k] = y[i];
-    }
-  }
-  const double* qp = qpad.data();
-
-  std::vector<double> proj(static_cast<size_t>(kPackedColBlock * KP), 0.0);
-  std::vector<int64_t> het(static_cast<size_t>(kPackedColBlock), 0);
-  std::vector<int64_t> hom(static_cast<size_t>(kPackedColBlock), 0);
-  double* const projd = proj.data();
-  int64_t* const hetd = het.data();
-  int64_t* const homd = hom.data();
-
-  for (int64_t j0 = col_begin; j0 < col_end; j0 += kPackedColBlock) {
-    const int64_t j1 = std::min(col_end, j0 + kPackedColBlock);
-    // Seed proj from `out` (lane kk = QᵀX, lane k = X·y, padding lanes
-    // 0): the kernel ACCUMULATES into its destination (callers zero the
-    // arena before the first call), so an out-of-core sweep feeding row
-    // panels through repeated calls continues the exact per-element add
-    // chain of a single full-matrix sweep. het/hom stay per-call
-    // integer counts; out.xx picks them up with an exact integer add.
-    for (int64_t j = j0; j < j1; ++j) {
-      const int64_t off = j - col_begin;
-      double* pr = projd + (j - j0) * KP;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        pr[kk] = out.qtx[kk * out.qtx_stride + off];
-      }
-      pr[k] = out.xy[off];
-      for (int64_t kk = k + 1; kk < KP; ++kk) pr[kk] = 0.0;
-    }
-    std::fill(het.begin(), het.end(), 0);
-    std::fill(hom.begin(), hom.end(), 0);
-
-    for (int64_t w0 = 0; w0 < wpc; w0 += kPackedPanelWords) {
-      const int64_t w1 = std::min(wpc, w0 + kPackedPanelWords);
-      int64_t j = j0;
-      for (; j + 2 <= j1; j += 2) {
-        const uint64_t* cwa = x.column_words(j);
-        const uint64_t* cwb = x.column_words(j + 1);
-        double* pra = projd + (j - j0) * KP;
-        double* prb = pra + KP;
-        ProjAcc<KP> pa;
-        ProjAcc<KP> pb;
-        pa.Load(pra);
-        pb.Load(prb);
-        int64_t hetsa = 0, homsa = 0, hetsb = 0, homsb = 0;
-        for (int64_t wi = w0; wi < w1; ++wi) {
-          const uint64_t worda = cwa[wi];
-          const uint64_t wordb = cwb[wi];
-          if ((worda | wordb) == 0) continue;
-          const int64_t base = wi * PackedGenotypeMatrix::kRowsPerWord;
-          const uint64_t loa = worda & kEvenBits;
-          const uint64_t hia = (worda >> 1) & kEvenBits;
-          uint64_t nza = (loa | hia) & ~(loa & hia);
-          hetsa += __builtin_popcountll(loa & ~hia);
-          homsa += __builtin_popcountll(hia & ~loa);
-          const uint64_t lob = wordb & kEvenBits;
-          const uint64_t hib = (wordb >> 1) & kEvenBits;
-          uint64_t nzb = (lob | hib) & ~(lob & hib);
-          hetsb += __builtin_popcountll(lob & ~hib);
-          homsb += __builtin_popcountll(hib & ~lob);
-          while ((nza | nzb) != 0) {
-            if (nza != 0) {
-              const int b = __builtin_ctzll(nza);
-              nza &= nza - 1;
-              const int64_t i = base + (b >> 1);
-              pa.Add(kDosage[(worda >> b) & 3u], qp + i * KP);
-            }
-            if (nzb != 0) {
-              const int b = __builtin_ctzll(nzb);
-              nzb &= nzb - 1;
-              const int64_t i = base + (b >> 1);
-              pb.Add(kDosage[(wordb >> b) & 3u], qp + i * KP);
-            }
-          }
-        }
-        hetd[j - j0] += hetsa;
-        homd[j - j0] += homsa;
-        hetd[j - j0 + 1] += hetsb;
-        homd[j - j0 + 1] += homsb;
-        pa.Store(pra);
-        pb.Store(prb);
-      }
-      for (; j < j1; ++j) {  // odd last column of the block
-        const uint64_t* cw = x.column_words(j);
-        double* pr = projd + (j - j0) * KP;
-        ProjAcc<KP> pacc;
-        pacc.Load(pr);
-        int64_t hets = 0, homs = 0;
-        for (int64_t wi = w0; wi < w1; ++wi) {
-          const uint64_t word = cw[wi];
-          if (word == 0) continue;
-          const uint64_t lo = word & kEvenBits;
-          const uint64_t hi = (word >> 1) & kEvenBits;
-          uint64_t nz = (lo | hi) & ~(lo & hi);
-          hets += __builtin_popcountll(lo & ~hi);
-          homs += __builtin_popcountll(hi & ~lo);
-          const int64_t base = wi * PackedGenotypeMatrix::kRowsPerWord;
-          while (nz != 0) {
-            const int b = __builtin_ctzll(nz);
-            nz &= nz - 1;
-            const int64_t i = base + (b >> 1);
-            pacc.Add(kDosage[(word >> b) & 3u], qp + i * KP);
-          }
-        }
-        hetd[j - j0] += hets;
-        homd[j - j0] += homs;
-        pacc.Store(pr);
-      }
-    }
-
-    for (int64_t j = j0; j < j1; ++j) {
-      const int64_t off = j - col_begin;
-      const double* pr = projd + (j - j0) * KP;
-      out.xy[off] = pr[k];
-      out.xx[off] += static_cast<double>(hetd[j - j0]) +
-                     4.0 * static_cast<double>(homd[j - j0]);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        out.qtx[kk * out.qtx_stride + off] = pr[kk];
-      }
-    }
-  }
-}
-
-}  // namespace
 
 void PackedColumnsAvx512(const PackedGenotypeMatrix& x, const double* y,
                          const Matrix& q, int64_t col_begin, int64_t col_end,
                          const StatsBlockView& out) {
-  // KP must fit the K covariates plus the phenotype lane (k + 1).
-  switch (const int64_t k = q.cols(); (k + 4) / 4) {
-    case 1:
-      PackedColumnsImpl<4>(x, y, q, col_begin, col_end, out);
-      break;
-    case 2:
-      PackedColumnsImpl<8>(x, y, q, col_begin, col_end, out);
-      break;
-    case 3:
-      PackedColumnsImpl<12>(x, y, q, col_begin, col_end, out);
-      break;
-    case 4:
-      PackedColumnsImpl<16>(x, y, q, col_begin, col_end, out);
-      break;
-    case 5:
-      PackedColumnsImpl<20>(x, y, q, col_begin, col_end, out);
-      break;
-    case 6:
-      PackedColumnsImpl<24>(x, y, q, col_begin, col_end, out);
-      break;
-    default:
-      // k > 23 (more covariates than the register-resident
-      // accumulators cover): the portable kernel handles any K.
-      PackedColumnsPortable(x, y, q, col_begin, col_end, out);
-      break;
+  // KP <= 24: at most 3 zmm per column, so the pair kernel keeps 6 zmm
+  // (or 4 zmm + 2 ymm) register-resident across a word panel. K > 23
+  // runs portable.
+  if (!PackedColumnsSimd<8, 24>(x, y, q, col_begin, col_end, out)) {
+    PackedColumnsPortable(x, y, q, col_begin, col_end, out);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "core/kernels/stats_kernels.h"
@@ -23,14 +22,12 @@ namespace {
 // the full row sweep.
 //
 // The dense row-panel micro-kernel comes from the runtime ISA dispatch
-// table (src/core/kernels/); blocks whose values all lie in {0, 1, 2}
-// are instead repacked into a 2-bit scratch and run through the
-// popcount kernel (see ComputeStatsColumnsImpl). Every micro-kernel
-// adds to every accumulator element in identical row order (a skipped
-// zero contributes exactly nothing; an added ±0.0 term cannot change
-// an accumulator that starts at +0.0 under IEEE-754 round-to-nearest),
-// so the choice — and the panel boundaries — never change a single
-// output bit.
+// table (src/core/kernels/). Every micro-kernel adds to every
+// accumulator element in identical row order (a skipped zero
+// contributes exactly nothing; an added ±0.0 term cannot change an
+// accumulator that starts at +0.0 under IEEE-754 round-to-nearest), so
+// the choice — and the panel boundaries — never change a single output
+// bit.
 
 // Sparse micro-kernel: skips zeros, so a mostly-zero genotype panel
 // pays O(nnz * K) instead of O(rows * w * K).
@@ -113,134 +110,6 @@ void ComputeColumnBlock(const Matrix& x, const Vector& y, const Matrix& q,
   }
 }
 
-// How many consecutive dosage column blocks accumulate into one pack
-// scratch before a single popcount-kernel call covers them all. Larger
-// groups amortize the kernel's per-call padded-Q build; 8 blocks keeps
-// that under ~2% of kernel time while the scratch stays modest
-// (N / 4 KiB).
-constexpr int64_t kStatsPackGroupBlocks = 8;
-
-// Cheap prefilter before paying for a pack attempt: checks ~64 leading
-// values of the block. Float-valued data fails almost immediately;
-// PackColumnBlockAt still validates every value it packs.
-bool BlockLooksLikeDosage(const Matrix& x, int64_t j0, int64_t j1) {
-  const int64_t n = x.rows();
-  const int64_t w = j1 - j0;
-  int64_t checked = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const double* DASH_RESTRICT row = x.row_data(i) + j0;
-    for (int64_t jj = 0; jj < w; ++jj) {
-      if (!PackedGenotypeMatrix::IsDosageValue(row[jj])) return false;
-      if (++checked >= 64) return true;
-    }
-  }
-  return true;
-}
-
-// Packs columns [j0, j1) of x into column slots [slot, slot + j1 - j0)
-// of `packed`, assembling each 32-row word in a stack buffer and then
-// ASSIGNING it (never OR-ing), so the scratch needs no clearing between
-// reuses. Returns false when a non-dosage value is hit; the slots
-// touched by the failed attempt hold garbage, but a slot is only ever
-// read after a later successful pack fully overwrites it.
-bool PackColumnBlockAt(const Matrix& x, int64_t j0, int64_t j1, int64_t slot,
-                       PackedGenotypeMatrix* packed) {
-  const int64_t n = x.rows();
-  const int64_t w = j1 - j0;
-  const int64_t wpc = packed->words_per_column();
-  uint64_t* const words0 = packed->mutable_column_words(0);
-  uint64_t buf[kStatsColBlock];
-  for (int64_t wi = 0; wi < wpc; ++wi) {
-    for (int64_t jj = 0; jj < w; ++jj) buf[jj] = 0;
-    const int64_t r0 = wi * PackedGenotypeMatrix::kRowsPerWord;
-    const int64_t r1 = std::min(n, r0 + PackedGenotypeMatrix::kRowsPerWord);
-    for (int64_t i = r0; i < r1; ++i) {
-      const double* DASH_RESTRICT row = x.row_data(i) + j0;
-      const int shift =
-          static_cast<int>(2 * (i % PackedGenotypeMatrix::kRowsPerWord));
-      for (int64_t jj = 0; jj < w; ++jj) {
-        const double v = row[jj];
-        if (!PackedGenotypeMatrix::IsDosageValue(v)) return false;
-        buf[jj] |= static_cast<uint64_t>(v) << shift;
-      }
-    }
-    for (int64_t jj = 0; jj < w; ++jj) {
-      words0[(slot + jj) * wpc + wi] = buf[jj];
-    }
-  }
-  return true;
-}
-
-// The shared column-block driver behind the dense entry points. When
-// allow_pack is set, each column block whose values all lie in {0,1,2}
-// is repacked into a lazily allocated per-task 2-bit scratch; runs of
-// consecutive packed blocks are flushed to the popcount kernel in
-// groups (one padded-Q build per group). Everything else takes the
-// dense row-panel sweep. Both paths are bit-identical, so the probe
-// can never change an output bit — only the speed.
-void ComputeStatsColumnsImpl(const Matrix& x, const Vector& y, const Matrix& q,
-                             int64_t col_begin, int64_t col_end,
-                             const StatsBlockView& out, ThreadPool* pool,
-                             bool allow_pack) {
-  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), x.rows());
-  DASH_CHECK_EQ(q.rows(), x.rows());
-  DASH_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= x.cols());
-  const int64_t width = col_end - col_begin;
-  if (width == 0) return;
-  const int64_t k = q.cols();
-  const int64_t num_blocks = (width + kStatsColBlock - 1) / kStatsColBlock;
-  const kernels::StatsKernelTable& table = kernels::ActiveStatsKernels();
-
-  const auto work = [&](int64_t blk_lo, int64_t blk_hi) {
-    // One tile per task, reused across its blocks.
-    std::vector<double> tile(static_cast<size_t>(kStatsColBlock) *
-                             static_cast<size_t>(std::max<int64_t>(k, 1)));
-    // Lazy per-task pack scratch: allocated on the first dosage block,
-    // then reused (fully overwritten) by every later group.
-    std::optional<PackedGenotypeMatrix> packed;
-    int64_t group_j0 = 0;    // first source column of the pending group
-    int64_t group_cols = 0;  // packed columns awaiting a kernel call
-    const auto flush_group = [&] {
-      if (group_cols == 0) return;
-      const int64_t off = group_j0 - col_begin;
-      const StatsBlockView sub{out.xy + off, out.xx + off, out.qtx + off,
-                               out.qtx_stride};
-      table.packed_columns(*packed, y.data(), q, 0, group_cols, sub);
-      group_cols = 0;
-    };
-    for (int64_t b = blk_lo; b < blk_hi; ++b) {
-      const int64_t j0 = col_begin + b * kStatsColBlock;
-      const int64_t j1 = std::min(col_end, j0 + kStatsColBlock);
-      bool handled = false;
-      if (allow_pack && BlockLooksLikeDosage(x, j0, j1)) {
-        if (!packed.has_value()) {
-          packed.emplace(x.rows(), kStatsColBlock * kStatsPackGroupBlocks);
-        }
-        if (group_cols == 0) group_j0 = j0;
-        if (PackColumnBlockAt(x, j0, j1, group_cols, &*packed)) {
-          group_cols += j1 - j0;
-          handled = true;
-          if (group_cols + kStatsColBlock > packed->cols()) flush_group();
-        }
-      }
-      if (!handled) {
-        flush_group();
-        ComputeColumnBlock(x, y, q, j0, j1, col_begin, out, tile.data(),
-                           table);
-      }
-    }
-    flush_group();
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
-    ParallelForOptions opts;
-    opts.min_chunk = 1;  // one cache block is already a coarse grain
-    opts.chunks_per_thread = 4;
-    pool->ParallelFor(0, num_blocks, opts, work);
-  } else {
-    work(0, num_blocks);
-  }
-}
-
 // Per-column sparse kernel for non-dosage sparse data: each column costs
 // O(nnz * K) instead of O(N * K). Same accumulate-into-out contract as
 // ComputeStatsColumns.
@@ -317,8 +186,33 @@ Vector ComputeArena(int64_t n, int64_t m, const Vector& y, const Matrix& q,
 void ComputeStatsColumns(const Matrix& x, const Vector& y, const Matrix& q,
                          int64_t col_begin, int64_t col_end,
                          const StatsBlockView& out, ThreadPool* pool) {
-  ComputeStatsColumnsImpl(x, y, q, col_begin, col_end, out, pool,
-                          /*allow_pack=*/true);
+  DASH_CHECK_EQ(static_cast<int64_t>(y.size()), x.rows());
+  DASH_CHECK_EQ(q.rows(), x.rows());
+  DASH_CHECK(0 <= col_begin && col_begin <= col_end && col_end <= x.cols());
+  const int64_t width = col_end - col_begin;
+  if (width == 0) return;
+  const int64_t k = q.cols();
+  const int64_t num_blocks = (width + kStatsColBlock - 1) / kStatsColBlock;
+  const kernels::StatsKernelTable& table = kernels::ActiveStatsKernels();
+
+  const auto work = [&](int64_t blk_lo, int64_t blk_hi) {
+    // One tile per task, reused across its blocks.
+    std::vector<double> tile(static_cast<size_t>(kStatsColBlock) *
+                             static_cast<size_t>(std::max<int64_t>(k, 1)));
+    for (int64_t b = blk_lo; b < blk_hi; ++b) {
+      const int64_t j0 = col_begin + b * kStatsColBlock;
+      const int64_t j1 = std::min(col_end, j0 + kStatsColBlock);
+      ComputeColumnBlock(x, y, q, j0, j1, col_begin, out, tile.data(), table);
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && num_blocks > 1) {
+    ParallelForOptions opts;
+    opts.min_chunk = 1;  // one cache block is already a coarse grain
+    opts.chunks_per_thread = 4;
+    pool->ParallelFor(0, num_blocks, opts, work);
+  } else {
+    work(0, num_blocks);
+  }
 }
 
 void ComputeStatsColumnsPacked(const PackedGenotypeMatrix& x, const Vector& y,
@@ -379,14 +273,6 @@ Vector ComputeLocalStatsFlat(const PackedGenotypeMatrix& x, const Vector& y,
                              const Matrix& q, ThreadPool* pool) {
   return ComputeArena(x.rows(), x.cols(), y, q, [&](const StatsBlockView& out) {
     ComputeStatsColumnsPacked(x, y, q, 0, x.cols(), out, pool);
-  });
-}
-
-Vector ComputeLocalStatsDense(const Matrix& x, const Vector& y,
-                              const Matrix& q, ThreadPool* pool) {
-  return ComputeArena(x.rows(), x.cols(), y, q, [&](const StatsBlockView& out) {
-    ComputeStatsColumnsImpl(x, y, q, 0, x.cols(), out, pool,
-                            /*allow_pack=*/false);
   });
 }
 

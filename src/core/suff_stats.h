@@ -14,9 +14,9 @@
 // A summand has one form: a contiguous wire-order arena of length
 // 1 + K + 2M + K*M (StatsWireLayout fixes the offsets), which a single
 // secure-sum round aggregates. Every summand entry point
-// (ComputeLocalStatsFlat and its dense-only and scalar-reference
-// siblings) writes straight into it, so nothing is copied between the
-// kernel and the transport. The aggregated total keeps that form to the
+// (ComputeLocalStatsFlat and its scalar-reference siblings) writes
+// straight into it, so nothing is copied between the kernel and the
+// transport. The aggregated total keeps that form to the
 // end: ScanSufficientStats is a non-owning view into it, which
 // UnflattenStats points at the blocks without copying, and FinalizeScan
 // reads the statistics through the view.
@@ -25,20 +25,16 @@
 // of ComputeStatsColumns: columns are tiled into blocks of
 // kStatsColBlock, each block's accumulators (X.y, X.X and a
 // covariate-major K×w QᵀX tile, so each row's update is K contiguous
-// length-w axpys) live in L1 for the whole N-row sweep. Per column
-// block the kernel picks one of two paths:
+// length-w axpys) live in L1 for the whole N-row sweep, strip-mined
+// into panels of kStatsRowPanel rows that dispatch to a branchless
+// dense micro-kernel or a zero-skipping sparse one by measured
+// density. Callers that hold hard-call genotypes 2-bit packed
+// (PackedGenotypeMatrix) run the popcount kernel instead, whose flop
+// count is proportional to the nonzeros (claim C6); the sparse form
+// repacks dosage-valued data into it once per call.
 //
-//   - Hard-call dosage data (every value in {0, 1, 2}, probed cheaply
-//     and verified during packing) is repacked into a per-task 2-bit
-//     PackedGenotypeMatrix scratch and handed to the popcount kernel,
-//     whose flop count is proportional to the block's nonzeros (claim
-//     C6) — it beats the dense path at every genotype density.
-//   - Anything else runs the dense row-panel sweep, strip-mined into
-//     panels of kStatsRowPanel rows that dispatch to a branchless dense
-//     micro-kernel or a zero-skipping sparse one by measured density.
-//
-// The inner kernels of both paths are runtime ISA-dispatched (portable
-// / AVX2 / AVX-512; src/core/kernels/stats_kernels.h, DESIGN.md §13).
+// The inner kernels are runtime ISA-dispatched (portable / AVX2 /
+// AVX-512; src/core/kernels/stats_kernels.h, DESIGN.md §13).
 // The scalar reference kernels (the original implementation) are kept
 // as ComputeLocalStatsScalar / ComputeLocalStatsSparseScalar; every
 // dispatchable kernel is BIT-IDENTICAL to them for finite inputs:
@@ -161,14 +157,6 @@ Vector ComputeLocalStatsFlat(const SparseColumnMatrix& x, const Vector& y,
 // steady state of a resident scan service: pack once, scan many).
 Vector ComputeLocalStatsFlat(const PackedGenotypeMatrix& x, const Vector& y,
                              const Matrix& q, ThreadPool* pool = nullptr);
-
-// Dense-only form of ComputeLocalStatsFlat(Matrix): the same blocked
-// row-panel sweep (still ISA-dispatched) but never repacking dosage
-// blocks into the 2-bit kernel. The bench baseline ("blocked/*"
-// entries) and an escape hatch if a workload's pack probe ever
-// misfires.
-Vector ComputeLocalStatsDense(const Matrix& x, const Vector& y,
-                              const Matrix& q, ThreadPool* pool = nullptr);
 
 // The original scalar kernels, kept as the bit-identity reference for
 // tests and as the bench baseline; they write the same arena.

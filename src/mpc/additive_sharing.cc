@@ -77,16 +77,8 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
   return Masked<RingVector>::Seal(std::move(partial), MpcPass::Get());
 }
 
-Result<Vector> OpenAdditiveTotal(const Masked<RingVector>& own_partial,
-                                 const std::vector<RingVector>& peer_partials,
+Result<Vector> OpenAdditiveTotal(const RingVector& total,
                                  const FixedPointCodec& codec) {
-  RingVector total = own_partial.wire();
-  for (const RingVector& peer : peer_partials) {
-    if (peer.size() != total.size()) {
-      return InternalError("partial sum length mismatch");
-    }
-    for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
-  }
   return codec.DecodeVector(total);
 }
 

@@ -53,12 +53,12 @@ Result<Masked<RingVector>> AccumulateAdditiveShares(
     const Secret<RingVector>& own_share,
     const std::vector<RingVector>& received_shares);
 
-// Opens the total from the party's own partial and every peer's
-// broadcast partial, and decodes it. Reveal point (round-key
-// phase2-additive): the sum of ALL partials is the aggregate total,
-// which is the protocol's declared output.
-Result<Vector> OpenAdditiveTotal(const Masked<RingVector>& own_partial,
-                                 const std::vector<RingVector>& peer_partials,
+// Decodes the total of ALL partials: the party's own, with every
+// peer's broadcast partial added into it as it arrived
+// (ByteReader::AddU64VectorTo, which also checks each peer's length).
+// Reveal point (round-key phase2-additive): the sum of ALL partials is
+// the aggregate total, which is the protocol's declared output.
+Result<Vector> OpenAdditiveTotal(const RingVector& total,
                                  const FixedPointCodec& codec);
 
 }  // namespace dash

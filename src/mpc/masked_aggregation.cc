@@ -29,6 +29,11 @@ Masked<RingVector> ApplyPairwiseMasks(
   return Masked<RingVector>::Seal(std::move(out), MpcPass::Get());
 }
 
+Result<Vector> OpenMaskedTotal(const RingVector& total,
+                               const FixedPointCodec& codec) {
+  return codec.DecodeVector(total);
+}
+
 Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
                                const std::vector<RingVector>& peer_masked,
                                const FixedPointCodec& codec) {
@@ -39,7 +44,7 @@ Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
     }
     for (size_t e = 0; e < total.size(); ++e) total[e] += peer[e];
   }
-  return codec.DecodeVector(total);
+  return OpenMaskedTotal(total, codec);
 }
 
 }  // namespace dash

@@ -39,10 +39,19 @@ Masked<RingVector> ApplyPairwiseMasks(
     const std::vector<Secret<ChaCha20Rng::Key>>& pairwise_keys,
     uint64_t round_nonce);
 
-// Opens the total from the party's own masked vector and every peer's
-// broadcast one, and decodes it. Reveal point (round-key phase2-masked):
-// the pairwise masks cancel in the sum of ALL vectors, so the output is
-// exactly the aggregate the protocol reveals.
+// Decodes the total of ALL masked vectors: the party's own, with every
+// peer's broadcast one added into it as it arrived
+// (ByteReader::AddU64VectorTo, which also checks each peer's length).
+// Reveal point (round-key phase2-masked): the pairwise masks cancel in
+// the sum of ALL vectors, so the output is exactly the aggregate the
+// protocol reveals.
+Result<Vector> OpenMaskedTotal(const RingVector& total,
+                               const FixedPointCodec& codec);
+
+// The same reveal over peer vectors already read into memory: sums the
+// own masked vector and every peer's (InternalError when a peer's
+// length differs), then decodes. dashbench times the open layer
+// through this form.
 Result<Vector> OpenMaskedTotal(const Masked<RingVector>& own_masked,
                                const std::vector<RingVector>& peer_masked,
                                const FixedPointCodec& codec);

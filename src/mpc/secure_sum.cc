@@ -189,18 +189,17 @@ Result<Vector> PartySecureVectorSum::RunAdditive(const Secret<Vector>& input) {
   DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kPartialSum,
                                        MaskAndSerialize(partial)));
 
-  std::vector<RingVector> peer_partials;
-  peer_partials.reserve(static_cast<size_t>(p - 1));
+  // Each peer's partial is added into one running total as it arrives.
+  RingVector total = partial.wire();
   for (int q = 0; q < p; ++q) {
     if (q == local_) continue;
     DASH_ROUND(phase2_additive_reveal, kPartialSum);
     DASH_ASSIGN_OR_RETURN(Message msg,
                           net_->Receive(local_, q, MessageTag::kPartialSum));
     ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-    peer_partials.push_back(std::move(peer));
+    DASH_RETURN_IF_ERROR(r.AddU64VectorTo(total));
   }
-  return OpenAdditiveTotal(partial, peer_partials, codec_);
+  return OpenAdditiveTotal(total, codec_);
 }
 
 Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
@@ -217,18 +216,18 @@ Result<Vector> PartySecureVectorSum::RunMasked(const Secret<Vector>& input) {
   DASH_RETURN_IF_ERROR(net_->Broadcast(local_, MessageTag::kMaskedValue,
                                        MaskAndSerialize(masked)));
 
-  std::vector<RingVector> peers;
-  peers.reserve(static_cast<size_t>(p - 1));
+  // Each peer's masked vector is added into one running total as it
+  // arrives; no per-peer vector is kept.
+  RingVector total = masked.wire();
   for (int q = 0; q < p; ++q) {
     if (q == local_) continue;
     DASH_ROUND(phase2_masked, kMaskedValue);
     DASH_ASSIGN_OR_RETURN(Message msg,
                           net_->Receive(local_, q, MessageTag::kMaskedValue));
     ByteReader r(msg.payload);
-    DASH_ASSIGN_OR_RETURN(RingVector peer, r.GetU64Vector());
-    peers.push_back(std::move(peer));
+    DASH_RETURN_IF_ERROR(r.AddU64VectorTo(total));
   }
-  return OpenMaskedTotal(masked, peers, codec_);
+  return OpenMaskedTotal(total, codec_);
 }
 
 namespace {

@@ -103,6 +103,29 @@ Result<std::vector<uint64_t>> ByteReader::GetU64Vector() {
   return out;
 }
 
+Status ByteReader::AddU64VectorTo(std::span<uint64_t> acc) {
+  DASH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
+  if (n > remaining() / 8) {  // see GetU64Vector: 8 * n may wrap
+    return InvalidArgumentError("truncated message: vector length " +
+                                std::to_string(n) + " exceeds the " +
+                                std::to_string(remaining()) +
+                                " bytes remaining");
+  }
+  if (n != acc.size()) {
+    return InternalError("vector length " + std::to_string(n) +
+                         " does not match the running total's " +
+                         std::to_string(acc.size()));
+  }
+  const uint8_t* src = buffer_.data() + pos_;
+  for (size_t e = 0; e < acc.size(); ++e) {
+    uint64_t v;
+    std::memcpy(&v, src + 8 * e, sizeof(v));
+    acc[e] += v;
+  }
+  pos_ += 8 * acc.size();
+  return Status::Ok();
+}
+
 Result<Vector> ByteReader::GetDoubleVector() {
   DASH_ASSIGN_OR_RETURN(uint64_t n, GetU64());
   if (n > remaining() / 8) {  // see GetU64Vector: 8 * n may wrap

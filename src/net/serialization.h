@@ -9,6 +9,7 @@
 #define DASH_NET_SERIALIZATION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -55,6 +56,13 @@ class ByteReader {
   Result<int64_t> GetI64();
   Result<double> GetDouble();
   Result<std::vector<uint64_t>> GetU64Vector();
+  // Reads a length-prefixed u64 vector and adds it element-wise (mod
+  // 2^64) into `acc`, straight from the buffer: the running total of a
+  // reveal, with no per-vector copy. Truncation fails with
+  // InvalidArgument as GetU64Vector does; a well-formed vector whose
+  // length is not acc.size() fails with InternalError. `acc` is left
+  // untouched on failure.
+  Status AddU64VectorTo(std::span<uint64_t> acc);
   Result<Vector> GetDoubleVector();
   Result<Matrix> GetMatrix();
 

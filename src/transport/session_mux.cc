@@ -166,11 +166,11 @@ void SessionMux::RouteLocked(Message msg) {
   // races across daemons are normal), bounded so a hostile or leaky
   // peer cannot grow memory without limit.
   while (orphan_count_ >= options_.max_orphan_messages && !orphans_.empty()) {
-    auto oldest = orphans_.begin();
-    oldest->second.pop_front();
+    auto lowest = orphans_.begin();  // lowest session id first
+    lowest->second.pop_front();
     orphan_count_ -= 1;
     stats_.dropped_orphans += 1;
-    if (oldest->second.empty()) orphans_.erase(oldest);
+    if (lowest->second.empty()) orphans_.erase(lowest);
   }
   orphans_[msg.session].push_back(std::move(msg));
   orphan_count_ += 1;

@@ -41,8 +41,9 @@
 //
 // Frames for a session that is not open here yet (a peer's scheduler
 // started the job first) wait in a bounded orphan buffer and are
-// replayed when OpenSession claims the id; beyond the cap the oldest
-// orphan is dropped (counted in stats). Sessionless frames reaching a
+// replayed when OpenSession claims the id; beyond the cap the
+// lowest-numbered session's frames are dropped first (counted in
+// stats). Sessionless frames reaching a
 // muxed endpoint are hostile by definition and are dropped + counted.
 
 #ifndef DASH_TRANSPORT_SESSION_MUX_H_
@@ -72,7 +73,7 @@ struct SessionMuxOptions {
   int pump_interval_ms = 1;
 
   // Total frames buffered for sessions nobody opened yet; beyond this
-  // the oldest orphan is dropped.
+  // the lowest-numbered session's frames are dropped first.
   size_t max_orphan_messages = 1024;
 };
 

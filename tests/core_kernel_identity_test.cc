@@ -210,8 +210,46 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
         const Vector y = GaussianVector(n, &rng);
         const Matrix q = MakeQ(n, 3, &rng);
         SCOPED_TRACE("n=" + std::to_string(n) + " m=" + std::to_string(m));
-        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q),
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q),
                                 ComputeLocalStatsScalar(x, y, q));
+      }
+    }
+  }
+}
+
+TEST(KernelIdentityTest, IsaSweepMixedDosageAndContinuousColumns) {
+  // Dense X whose 128-column blocks alternate between dosage columns
+  // (values in {0, 1, 2}) and Gaussian ones, so one scan runs dosage
+  // and continuous blocks through the same dense row-panel kernel. The
+  // widths leave the last block partial, with remainders that straddle
+  // the 4- and 8-lane vector widths; the sample counts straddle the
+  // 256-row panel.
+  for (const int64_t m : {1, 5, 127, 131, 263, 389}) {
+    for (const int64_t n : {37, 257}) {
+      GenotypeOptions geno;
+      geno.num_samples = n;
+      geno.num_variants = m;
+      geno.maf_min = 0.01;
+      geno.maf_max = 0.4;
+      geno.seed = static_cast<uint64_t>(m * 1000 + n);
+      Matrix x = GenerateGenotypes(geno);
+      Rng rng(static_cast<uint64_t>(m * 7 + n));
+      const Matrix gauss = GaussianMatrix(n, m, &rng);
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < m; ++j) {
+          if ((j / kStatsColBlock) % 2 == 1) x(i, j) = gauss(i, j);
+        }
+      }
+      const Vector y = GaussianVector(n, &rng);
+      const Matrix q = MakeQ(n, 3, &rng);
+      const Vector want = ComputeLocalStatsScalar(x, y, q);
+      ThreadPool pool(3);
+      for (const kernels::StatsIsa isa : kernels::AvailableStatsIsas()) {
+        ScopedIsa pin(isa);
+        SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
+                     " n=" + std::to_string(n) + " m=" + std::to_string(m));
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
+        ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q, &pool), want);
       }
     }
   }
@@ -219,9 +257,8 @@ TEST(KernelIdentityTest, IsaSweepDenseGaussian) {
 
 TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
   // One genotype draw per shape; each ISA must reproduce the scalar
-  // kernel bit for bit through the auto path (which packs dosage
-  // blocks), the pre-packed path, the dense no-pack path, and the
-  // sparse repack path.
+  // kernel bit for bit through the dense path, the pre-packed path and
+  // the sparse repack path.
   for (const int64_t m : kVariantSizes) {
     for (const int64_t n : {33, 301}) {
       GenotypeOptions geno;
@@ -243,7 +280,6 @@ TEST(KernelIdentityTest, IsaSweepGenotypeAllStorages) {
                      " n=" + std::to_string(n) + " m=" + std::to_string(m));
         ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
         ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
-        ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
         ExpectArenaBitIdentical(ComputeLocalStatsFlat(sparse, y, q), want);
       }
     }
@@ -275,7 +311,7 @@ TEST(KernelIdentityTest, IsaSweepCovariateWidths) {
       SCOPED_TRACE(std::string(kernels::StatsIsaName(isa)) +
                    " k=" + std::to_string(k));
       ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
-      ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
+      ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
     }
   }
 }
@@ -309,7 +345,6 @@ TEST(KernelIdentityTest, IsaSweepAllZeroAndAllMissingColumns) {
     ScopedIsa pin(isa);
     SCOPED_TRACE(kernels::StatsIsaName(isa));
     ExpectArenaBitIdentical(ComputeLocalStatsFlat(packed, y, q), want);
-    ExpectArenaBitIdentical(ComputeLocalStatsDense(x, y, q), want);
     ExpectArenaBitIdentical(ComputeLocalStatsFlat(x, y, q), want);
   }
 }

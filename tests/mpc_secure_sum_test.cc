@@ -208,5 +208,29 @@ TEST(SecureSumTest, NegativeAndTinyValuesSurviveQuantization) {
               std::ldexp(3.0, -48));
 }
 
+TEST(SecureSumTest, PeerVectorOfTheWrongLengthFailsWithInternalError) {
+  // Party 2 contributes a 4-element vector while parties 0 and 1
+  // contribute 3, so every party receives at least one peer vector
+  // whose length differs from its own running total.
+  for (const AggregationMode mode :
+       {AggregationMode::kMasked, AggregationMode::kAdditive}) {
+    SCOPED_TRACE(AggregationModeName(mode));
+    InProcessMesh net(3);
+    SecureSumOptions opts;
+    opts.mode = mode;
+    const std::vector<Vector> inputs = {{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0},
+                                        {7.0, 8.0, 9.0, 10.0}};
+    const auto results = RunPerParty(&net, [&](int i, Transport* t) {
+      PartySecureVectorSum party(t, opts);
+      return party.Run(Secret<Vector>(inputs[static_cast<size_t>(i)]));
+    });
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_FALSE(results[i].ok()) << "party " << i;
+      EXPECT_EQ(results[i].status().code(), StatusCode::kInternal)
+          << "party " << i << ": " << results[i].status();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dash

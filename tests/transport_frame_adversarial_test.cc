@@ -512,6 +512,9 @@ TEST(SessionAdversarialTest, UnknownSessionFloodIsBoundedByTheOrphanCap) {
   ASSERT_NE(victim, nullptr);
   SessionMuxOptions options;
   options.max_orphan_messages = 16;
+  // Session 120's frame is known to be gone (below), so its Receive can
+  // only time out; a short deadline keeps the test from waiting 30 s.
+  options.receive_timeout_ms = 200;
   SessionMux mux(victim.get(), options);
 
   // A hostile peer sprays frames across 48 sessions nobody opened. The
@@ -530,17 +533,15 @@ TEST(SessionAdversarialTest, UnknownSessionFloodIsBoundedByTheOrphanCap) {
   EXPECT_TRUE(capped) << "orphaned=" << stats.orphaned_messages
                       << " dropped=" << stats.dropped_orphans;
 
-  // A session opened afterwards still works on the same link.
+  // A session opened afterwards still works on the same link. Eviction
+  // drops the lowest-numbered session's frames first, so the flood
+  // evicted sessions 100–131, session 120 among them: its Receive
+  // times out cleanly — never a crash or a foreign session's frame.
   auto late = mux.OpenSession(120);
   ASSERT_TRUE(late.ok());
   const auto adopted = late.value()->Receive(0, 1, MessageTag::kPlainStats);
-  // Session 120's orphan may have been evicted by the flood or may have
-  // survived; either a clean delivery or a clean timeout is acceptable,
-  // never a crash or a foreign session's frame.
-  if (adopted.ok()) {
-    EXPECT_EQ(adopted.value().session, 120u);
-    EXPECT_EQ(adopted.value().payload[0], 0x77);
-  }
+  EXPECT_EQ(adopted.status().code(), StatusCode::kDeadlineExceeded)
+      << adopted.status();
 }
 
 TEST(SessionAdversarialTest, DuplicateFramesInsideASessionAreDelivered) {

@@ -33,18 +33,24 @@ Rules (each has a stable ID used in messages and suppressions):
       path (src/net/serialization.h -> DASH_NET_SERIALIZATION_H_), and
       no file includes via a relative "../" path.
 
-  DL006 SIMD intrinsics outside src/core/kernels/
+  DL006 SIMD intrinsics or vector types outside src/core/kernels/
       Per-ISA code is confined to the kernel translation units under
       src/core/kernels/, which the build compiles with matching
       per-file -m flags and -ffp-contract=off, and which the runtime
       dispatch table (stats_kernels.h) gates behind a cpuid probe. An
-      <immintrin.h> include, an _mm* intrinsic call, or an __m128/256/512
-      vector type anywhere else either crashes on CPUs without the ISA
-      (no dispatch gate) or silently compiles without the target flag.
-      ISA-specific translation units in src/core/kernels/ must also
-      carry the matching compile-time guard (#ifndef __AVX2__/#error,
+      <immintrin.h> include, an _mm* intrinsic call, an __m128/256/512
+      vector type, or a GCC/Clang vector_size / ext_vector_type type
+      anywhere else either crashes on CPUs without the ISA (no dispatch
+      gate), silently compiles without the target flag, or lets the
+      default -ffp-contract fuse a multiply-add. ISA-specific
+      translation units in src/core/kernels/ must also carry the
+      matching compile-time guard (#ifndef __AVX2__/#error,
       #ifndef __AVX512F__/#error) so a build-system regression that
-      drops the per-file flag fails loudly instead of miscompiling.
+      drops the per-file flag fails loudly instead of miscompiling. The
+      shared SIMD kernel source (stats_kernels_simd.inc) may only be
+      included inside an anonymous namespace: its template instances
+      must keep internal linkage, or the linker could merge the AVX-512
+      unit's instance into the AVX2 unit's callers.
 
   DL005 unauditable randomness in the MPC layer
       Masks and shares are only secure if their randomness comes from
@@ -111,6 +117,7 @@ KERNEL_FILES = {
     "src/core/kernels/stats_kernels_avx2.cc",
     "src/core/kernels/stats_kernels_avx512.cc",
     "src/core/kernels/stats_kernels_portable.cc",
+    "src/core/kernels/stats_kernels_simd.inc",
     "src/core/suff_stats.cc",
     "src/core/suff_stats.h",
     "src/linalg/packed_matrix.cc",
@@ -124,7 +131,14 @@ KERNEL_FILES = {
 INTRINSICS_DIR = "src/core/kernels/"
 INTRINSIC_RE = re.compile(
     r"immintrin\.h|x86intrin\.h|[exs]mmintrin\.h|avx\w*intrin\.h"
-    r"|\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b")
+    r"|\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
+    r"|\b(?:__)?vector_size(?:__)?\s*\(|\bext_vector_type\s*\(")
+# The shared SIMD kernel source and the namespace tracking that checks
+# each include of it sits inside an anonymous namespace (DL006).
+SIMD_INCLUDE_RE = re.compile(
+    r'#\s*include\s*"core/kernels/stats_kernels_simd\.inc"')
+NAMESPACE_OPEN_RE = re.compile(r"^\s*(?:inline\s+)?namespace\s*([\w:]*)\s*\{")
+NAMESPACE_CLOSE_RE = re.compile(r"^\s*\}\s*//\s*namespace\b")
 # file-name pattern -> macro whose absence must stop compilation.
 ISA_GUARDS = [
     (re.compile(r"_avx2\.(cc|cpp)$"), "__AVX2__"),
@@ -248,7 +262,7 @@ def iter_source_files(paths):
         root = os.path.join(REPO_ROOT, d)
         for dirpath, _, files in os.walk(root):
             for f in sorted(files):
-                if f.endswith((".cc", ".cpp", ".h", ".hpp")):
+                if f.endswith((".cc", ".cpp", ".h", ".hpp", ".inc")):
                     yield os.path.join(dirpath, f)
 
 
@@ -376,9 +390,26 @@ class Linter:
         # in the class currently being scanned, cleared at its `};`.
         armed_mutex = None
         in_util = relpath.startswith("src/util/")
+        # DL006 state: the namespaces open at the current line, innermost
+        # last ("" for an anonymous one).
+        namespaces = []
         for i, raw in enumerate(lines, start=1):
             line = raw.rstrip()
             code = strip_comment(line)
+
+            m = NAMESPACE_OPEN_RE.match(code)
+            if m:
+                namespaces.append(m.group(1))
+            elif NAMESPACE_CLOSE_RE.match(line) and namespaces:
+                namespaces.pop()
+            if (SIMD_INCLUDE_RE.search(code)
+                    and (not namespaces or namespaces[-1] != "")
+                    and not line_disables(line, "DL006")):
+                self.report(
+                    path, i, "DL006",
+                    "stats_kernels_simd.inc must be included inside an "
+                    "anonymous namespace, so each ISA unit's kernel "
+                    "instances keep internal linkage")
 
             # DL001 — float reassociation in kernel files.
             if relpath in KERNEL_FILES and not line_disables(line, "DL001"):
@@ -436,7 +467,8 @@ class Linter:
                     and not line_disables(line, "DL006")):
                 self.report(
                     path, i, "DL006",
-                    "SIMD intrinsics are confined to src/core/kernels/ "
+                    "SIMD intrinsics and vector types are confined to "
+                    "src/core/kernels/ "
                     "(runtime-dispatched, per-file target flags); use "
                     "the kernel dispatch table instead")
 
